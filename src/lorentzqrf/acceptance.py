@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -481,6 +482,18 @@ def criterion_8() -> CriterionResult:
     )
 
 
+@lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    Cached because leggauss costs seconds at the oracle's orders.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _contour_oracle_amplitude(
     scn: InterferenceScenario, omega: float, eps: float = 1.0,
     nt: int = 3000, nx: int = 1200,
@@ -495,8 +508,8 @@ def _contour_oracle_amplitude(
     m, sx, st = scn.mass, scn.sigma_x, scn.sigma_t
     tp, xp = scn.probe
     beta = 1.0 + omega * omega / 2.0
-    tn, tw = np.polynomial.legendre.leggauss(nt)
-    xn, xw = np.polynomial.legendre.leggauss(nx)
+    tn, tw = _leggauss(nt)
+    xn, xw = _leggauss(nx)
     t_lo, t_hi = scn.t0 - 14.0 * st, scn.t0 + 14.0 * st
     x_lo, x_hi = scn.x0 - 18.0 * sx, scn.x0 + 18.0 * sx
     ts = 0.5 * (t_hi + t_lo) + 0.5 * (t_hi - t_lo) * tn - 1j * eps

@@ -356,8 +356,19 @@ def _run_propagator_table(cfg: dict) -> ScenarioReport:
     mass = float(cfg["m"])
     step = float(cfg["step"])
     steps = int(cfg["steps"])
+    for key, value in (("m", mass), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
     if step <= 0.0 or steps < 1:
         raise ValueError("step must be positive and steps >= 1")
+    # the propagator squares the largest separation step*steps and scales
+    # its square root by m
+    reach = step * steps
+    if not (math.isfinite(reach * reach) and math.isfinite(mass * reach)):
+        raise ValueError(
+            f"step*steps*m overflows the propagator argument "
+            f"(step={step!r}, steps={steps}, m={mass!r})"
+        )
     rows = []
     timelike = {"dt": [], "re": [], "im": []}
     spacelike = {"dx": [], "value": []}

@@ -42,7 +42,7 @@ from .states import (
     boost_state,
     from_spacetime_function,
     slice_profile,
-    wavefunction,
+    wavefunction_grid,
 )
 
 __all__ = [
@@ -289,9 +289,7 @@ def _dilation_packet_interval(
         t_pred = ch * tj + sh * scn.x0
         x_line = sh * tj + ch * scn.x0
         ts = np.linspace(t_pred - 5 * scan_width, t_pred + 5 * scan_width, 121)
-        vals = np.array(
-            [abs(wavefunction(branch_state, (t, x_line))) ** 2 for t in ts]
-        )
+        vals = np.abs(wavefunction_grid(branch_state, ts, [x_line])[:, 0]) ** 2
         fit = gaussian_fit(ts, vals, t_pred, scan_width)
         centers.append(fit.center)
         scans[f"event_t{tj:g}"] = {

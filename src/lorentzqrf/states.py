@@ -20,6 +20,14 @@ carried by the same measure,
 is the conserved (Klein-Gordon) product: for equal-time wavefunctions it
 equals (i/2pi) integral dx (psi* d_t phi - (d_t psi*) phi).
 
+Every spectral sum of the wavefunction's form (wavefunctions, gridded
+wavefunctions, slice profiles, the lattice propagator) goes through one
+kernel, `_synthesize`.  It sums only over the smallest index window holding
+every |a_j| > 1e-16 max|a|, and it takes the (t, x) grid in blocks of at
+most 2^19 phase entries (8 MiB complex), so its working memory does not
+grow with the number of t or x points.  The equation-of-motion residual
+uses the same window.
+
 Boosts act as exact index shifts when the rapidity is a lattice multiple of
 the grid step (amplitudes a'(theta) = a(theta + alpha), support transported
 by the kinematics boost matrix), and by cubic interpolation otherwise.
@@ -380,9 +388,7 @@ def from_spacetime_function(
     mass = check_mass(mass)
     th = grid.thetas
     e, p = mass * np.cosh(th), mass * np.sinh(th)
-    if isinstance(f, (Slice, TiltedSlice)):
-        a = f.transform(e, p)
-    elif isinstance(f, (Gaussian2D, PointEvent, SampledFunction)):
+    if isinstance(f, (Slice, TiltedSlice, Gaussian2D, PointEvent, SampledFunction)):
         a = f.transform(e, p)
     else:
         raise TypeError(f"not a spacetime preparation: {f!r}")
@@ -393,26 +399,59 @@ def from_spacetime_function(
     return RapidityState(grid, mass, a, proper=proper, notes=notes)
 
 
+_WINDOW_CUT = 1e-16  # relative amplitude below which sites leave spectral sums
+_BLOCK_ENTRIES = 1 << 19  # phase entries per block of a spectral sum (8 MiB complex)
+
+
+def _window(state: RapidityState) -> slice:
+    """Smallest index range holding every |a_j| > _WINDOW_CUT * max |a|."""
+    mag = np.abs(state.amplitudes)
+    peak = float(np.max(mag))
+    if peak == 0.0:
+        return slice(0, 0)
+    idx = np.flatnonzero(mag > _WINDOW_CUT * peak)
+    return slice(int(idx[0]), int(idx[-1]) + 1)
+
+
+def _synthesize(
+    state: RapidityState, coeffs: np.ndarray, ts: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
+    """sum_j c_j exp(-i E_j t + i p_j x) on the outer grid (len(ts), len(xs)).
+
+    The sum runs over the amplitude window of `state` only, and ts and xs are
+    taken in blocks of at most _BLOCK_ENTRIES phase entries, so working
+    memory does not grow with len(ts) or len(xs).
+    """
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    out = np.zeros((ts.size, xs.size), dtype=complex)
+    win = _window(state)
+    n = win.stop - win.start
+    if n == 0:
+        return out
+    e, p, c = state.energies[win], state.momenta[win], coeffs[win]
+    block = max(1, _BLOCK_ENTRIES // n)
+    for i in range(0, ts.size, block):
+        left = np.exp(-1j * np.outer(ts[i : i + block], e)) * c
+        for k in range(0, xs.size, block):
+            right = np.exp(1j * np.outer(p, xs[k : k + block]))
+            out[i : i + block, k : k + block] = left @ right
+    return out
+
+
 def wavefunction(
     state: RapidityState, point: SpacetimePoint | tuple[float, float]
 ) -> complex:
     """psi(t, x) = sum_j w_j exp(-i E_j t + i p_j x) a_j."""
     t, x = point
-    phase = np.exp(-1j * (state.energies * t - state.momenta * x))
-    return complex(np.sum(state.weights * phase * state.amplitudes))
+    return complex(_synthesize(state, state.weights * state.amplitudes, [t], [x])[0, 0])
 
 
 def wavefunction_grid(
     state: RapidityState, ts: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
-    """psi on the outer grid (len(ts), len(xs)), via separable matrix products."""
-    ts = np.asarray(ts, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    left = np.exp(-1j * np.outer(ts, state.energies)) * (
-        state.weights * state.amplitudes
-    )
-    right = np.exp(1j * np.outer(state.momenta, xs))
-    return left @ right
+    """psi on the outer grid (len(ts), len(xs))."""
+    return _synthesize(state, state.weights * state.amplitudes, ts, xs)
 
 
 def slice_profile(state: RapidityState, t0: float, xs: np.ndarray) -> np.ndarray:
@@ -423,11 +462,9 @@ def slice_profile(state: RapidityState, t0: float, xs: np.ndarray) -> np.ndarray
     This is the plain Fourier profile of the preparation on the t0 surface,
     not the measure-weighted wavefunction <t0,x|f>.
     """
-    xs = np.asarray(xs, dtype=float)
-    phat = state.amplitudes * np.exp(-1j * state.energies * t0)
-    dp = state.energies * 2.0 * state.weights  # dp = E dtheta, dtheta = 2 w
-    kernel = np.exp(1j * np.outer(xs, state.momenta))
-    return kernel @ (dp * phat) / (2.0 * math.pi)
+    # dp/2pi = E dtheta/2pi = E w/pi, since dtheta = 2 w
+    coeffs = state.energies * state.weights * state.amplitudes / math.pi
+    return _synthesize(state, coeffs, [t0], xs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +532,9 @@ def propagator(query: PropagatorQuery, grid: RapidityGrid | None = None) -> comp
                 RuntimeWarning,
                 stacklevel=2,
             )
-        th = grid.thetas
-        e, p = m * np.cosh(th), m * np.sinh(th)
-        return complex(np.sum(grid.weights * np.exp(-1j * (e * dt - p * dx))))
+        # unit amplitudes: the sum runs over the whole grid
+        flat = RapidityState(grid, m, np.ones(grid.count))
+        return complex(_synthesize(flat, grid.weights, [dt], [dx])[0, 0])
 
     s2 = dt * dt - dx * dx
     if s2 == 0.0:
@@ -613,31 +650,9 @@ def boost_state(state: RapidityState, alpha: float) -> RapidityState:
 # equation-of-motion residual
 
 
-# 8th-order central second-derivative stencil (coefficients * 1/step^2)
-_FD8 = np.array(
-    [-1.0 / 560, 8.0 / 315, -1.0 / 5, 8.0 / 5, -205.0 / 72, 8.0 / 5, -1.0 / 5, 8.0 / 315, -1.0 / 560]
-)
-
-
-def _wavefunction_extended(state: RapidityState, t: float, x: float) -> complex:
-    """Wavefunction with extended-precision phase evaluation and summation.
-
-    Used by the finite-difference residual path, where the answer is a small
-    difference of terms of size E^2 |psi| and double rounding would dominate.
-    """
-    ld = np.longdouble
-    th = state.grid.thetas.astype(ld)
-    e = ld(state.mass) * np.cosh(th)
-    p = ld(state.mass) * np.sinh(th)
-    arg = -(e * ld(t) - p * ld(x))
-    w = state.grid.weights.astype(ld)
-    re = np.cos(arg)
-    im = np.sin(arg)
-    ar = state.amplitudes.real.astype(ld)
-    ai = state.amplitudes.imag.astype(ld)
-    real = np.sum(w * (re * ar - im * ai))
-    imag = np.sum(w * (re * ai + im * ar))
-    return complex(float(real), float(imag))
+# 8th-order central second-derivative stencil, coefficients * 1/(5040 step^2);
+# integers, so they sum to exactly zero in any precision
+_FD8 = np.array([-9, 128, -1008, 8064, -14350, 8064, -1008, 128, -9])
 
 
 def default_probe_points(state: RapidityState, n: int = 16) -> list[SpacetimePoint]:
@@ -675,14 +690,28 @@ def kg_equation_residual(
     e_eff = math.sqrt(e2_mean)
     # stencil step: balance 8th-order truncation against extended-precision rounding
     delta = 0.06 / e_eff
-    spectral = state.with_amplitudes(state.amplitudes * (-(state.energies**2)))
+    # extended precision throughout: the answer is a small difference of
+    # terms of size E^2 |psi|, where double rounding would dominate
+    ld = np.longdouble
+    win = _window(state)
+    th = state.grid.thetas[win].astype(ld)
+    e = ld(state.mass) * np.cosh(th)
+    p = ld(state.mass) * np.sinh(th)
+    minus_e2 = -(e * e)
+    w = state.grid.weights[win].astype(ld)
+    wa_re = w * state.amplitudes[win].real.astype(ld)
+    wa_im = w * state.amplitudes[win].imag.astype(ld)
+    fd_scale = 5040 * ld(delta) ** 2
     worst = 0.0
     for pt in points:
         t, x = pt
-        samples = np.array(
-            [_wavefunction_extended(state, t + k * delta, x) for k in range(-4, 5)]
-        )
-        fd = complex(np.sum(_FD8 * samples)) / delta**2
-        ref = _wavefunction_extended(spectral, t, x)
-        worst = max(worst, abs(fd - ref))
+        stencil_ts = np.array([t + k * delta for k in range(-4, 5)]).astype(ld)
+        arg = -(np.outer(stencil_ts, e) - p * ld(x))
+        re, im = np.cos(arg), np.sin(arg)
+        # one row of terms per stencil sample; row 4 is the probe itself
+        real = re * wa_re - im * wa_im
+        imag = re * wa_im + im * wa_re
+        d_re = _FD8 @ real.sum(axis=1) / fd_scale - np.sum(minus_e2 * real[4])
+        d_im = _FD8 @ imag.sum(axis=1) / fd_scale - np.sum(minus_e2 * imag[4])
+        worst = max(worst, math.hypot(float(d_re), float(d_im)))
     return worst

@@ -304,6 +304,23 @@ def test_run_propagator_table_csv_matches_closed_forms(tmp_path):
     assert abs(rows[(0.0, 1.0)] - want_s) / want_s < 1e-6
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("step=1e308", "step*steps*m overflows the propagator argument"),
+        ("step=nan", "step must be finite"),
+        ("m=Infinity", "m must be finite"),
+    ],
+)
+def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting, message):
+    code = cli.main(
+        ["run", "--scenario", "propagator-table", "--set", setting, "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_run_interference_scenario(tmp_path):
     code = cli.main(
         ["run", "--scenario", "nonrel-interference", "--out", str(tmp_path)]

@@ -1,6 +1,7 @@
 """Tests for the end-to-end scenario runners."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -343,6 +344,15 @@ def test_boost_superposition_grids_shape():
 # non-relativistic interference
 
 
+@lru_cache(maxsize=None)
+def _leggauss(n):
+    """Read-only Gauss-Legendre nodes and weights, computed once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _oracle_amplitude(scn, omega, eps=1.0, nt=3500, nx=1400):
     """Tensor Gauss-Legendre quadrature of the full 2-D probe overlap on the
     rotated contour t -> t - i*eps.
@@ -358,8 +368,8 @@ def _oracle_amplitude(scn, omega, eps=1.0, nt=3500, nx=1400):
     tp, xp = scn.probe
     beta = 1.0 + omega * omega / 2.0
 
-    tn, tw = np.polynomial.legendre.leggauss(nt)
-    xn, xw = np.polynomial.legendre.leggauss(nx)
+    tn, tw = _leggauss(nt)
+    xn, xw = _leggauss(nx)
     t_lo, t_hi = scn.t0 - 14.0 * st, scn.t0 + 14.0 * st
     x_lo, x_hi = scn.x0 - 18.0 * sx, scn.x0 + 18.0 * sx
     ts = 0.5 * (t_hi + t_lo) + 0.5 * (t_hi - t_lo) * tn - 1j * eps

@@ -14,12 +14,14 @@ Frozen regression constants below were computed from those oracles.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 from scipy.special import hankel2, k0
 
+from lorentzqrf import states
 from lorentzqrf.kinematics import SpacetimePoint, boost_point
 from lorentzqrf.states import (
     Gaussian2D,
@@ -33,6 +35,7 @@ from lorentzqrf.states import (
     Slice,
     TiltedSlice,
     boost_state,
+    default_probe_points,
     evolve,
     from_spacetime_function,
     kg_equation_residual,
@@ -195,6 +198,99 @@ def test_slice_profile_round_trip(grid):
     s2 = translate(s, 0.1, 0.6)
     rec2 = slice_profile(s2, 0.35, xs)
     assert np.max(np.abs(rec2 - prof(xs - 0.6))) < 1e-9
+
+
+def _dense_sum(state, coeffs, ts, xs):
+    """sum_j c_j exp(-i E_j t + i p_j x) over every site, in one dense product."""
+    ts = np.asarray(ts, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    left = np.exp(-1j * np.outer(ts, state.energies)) * coeffs
+    return left @ np.exp(1j * np.outer(state.momenta, xs))
+
+
+def _random_amplitudes(rng, grid, center, width):
+    """Complex noise under a Gaussian envelope in rapidity."""
+    envelope = np.exp(-((grid.thetas - center) ** 2) / (2.0 * width**2))
+    noise = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
+    return envelope * noise
+
+
+def test_wavefunction_grid_matches_dense_sum(grid):
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        a = _random_amplitudes(
+            rng, grid, float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.2, 2.0))
+        )
+        s = RapidityState(grid, float(rng.uniform(0.5, 2.0)), a)
+        ts = rng.uniform(-3.0, 3.0, size=9)
+        xs = rng.uniform(-5.0, 5.0, size=13)
+        coeffs = s.weights * s.amplitudes
+        scale = float(np.sum(np.abs(coeffs)))
+        dense = _dense_sum(s, coeffs, ts, xs)
+        assert np.max(np.abs(wavefunction_grid(s, ts, xs) - dense)) < 1e-13 * scale
+        assert abs(wavefunction(s, (ts[2], xs[5])) - dense[2, 5]) < 1e-13 * scale
+
+
+def test_wavefunction_grid_blocks_over_a_full_support_state(grid):
+    # nonzero at both grid ends, so the window is the whole grid; both axes
+    # span two full blocks and a partial one
+    rng = np.random.default_rng(22)
+    a = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
+    s = RapidityState(grid, 0.01, a)
+    block = states._BLOCK_ENTRIES // grid.count
+    ts = rng.uniform(-50.0, 50.0, size=2 * block + 37)
+    xs = rng.uniform(-50.0, 50.0, size=2 * block + 5)
+    coeffs = s.weights * s.amplitudes
+    table = wavefunction_grid(s, ts, xs)
+    assert table.shape == (ts.size, xs.size)
+    dense = _dense_sum(s, coeffs, ts, xs)
+    assert np.max(np.abs(table - dense)) < 1e-13 * float(np.sum(np.abs(coeffs)))
+
+
+def test_synthesis_of_single_site_and_empty_states(grid):
+    ts = np.array([-0.4, 0.0, 1.7])
+    xs = np.array([-2.0, 0.3, 0.9, 5.0])
+    a = np.zeros(grid.count, dtype=complex)
+    a[1234] = 0.8 - 0.3j
+    s = RapidityState(grid, 1.5, a)
+    e, p, w = s.energies[1234], s.momenta[1234], s.weights[1234]
+    exact = w * a[1234] * np.exp(-1j * (np.outer(ts, np.full(xs.size, e)) - p * xs))
+    assert np.max(np.abs(wavefunction_grid(s, ts, xs) - exact)) < 1e-15
+    empty = RapidityState(grid, 1.5, np.zeros(grid.count))
+    table = wavefunction_grid(empty, ts, xs)
+    assert table.shape == (3, 4) and not np.any(table)
+    assert wavefunction(empty, (0.2, 0.1)) == 0j
+    assert not np.any(slice_profile(empty, 0.0, xs))
+
+
+def test_slice_profile_matches_dense_fourier_sum(grid):
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        a = _random_amplitudes(
+            rng, grid, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.2, 1.5))
+        )
+        s = RapidityState(grid, float(rng.uniform(0.5, 2.0)), a)
+        t0 = float(rng.uniform(-1.0, 1.0))
+        xs = np.linspace(-8.0, 8.0, 301)
+        # phi(x) = (1/2pi) sum_j dp_j exp(i p_j x) a_j exp(-i E_j t0), dp = 2 E w
+        dp = 2.0 * s.energies * s.weights
+        terms = dp * s.amplitudes * np.exp(-1j * s.energies * t0)
+        dense = np.exp(1j * np.outer(xs, s.momenta)) @ terms / (2.0 * math.pi)
+        scale = float(np.sum(np.abs(terms))) / (2.0 * math.pi)
+        assert np.max(np.abs(slice_profile(s, t0, xs) - dense)) < 1e-13 * scale
+
+
+def test_wavefunction_grid_memory_is_bounded(grid):
+    s = normalize(from_spacetime_function(Slice(0.0, GaussianProfile(0.0, 0.5)), 1.0, grid))
+    xs = np.linspace(-25.0, 25.0, 20001)
+    tracemalloc.start()
+    try:
+        line = wavefunction_grid(s, [0.0], xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert line.shape == (1, xs.size)
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +512,48 @@ def test_kg_equation_residual_small(grid):
         )
     )
     assert kg_equation_residual(hard) < 1e-8
+
+
+def _residual_reference(state, points):
+    """The residual evaluated site by site over the whole grid, one
+    extended-precision wavefunction per stencil sample."""
+    ld = np.longdouble
+    th = state.grid.thetas.astype(ld)
+    e = ld(state.mass) * np.cosh(th)
+    p = ld(state.mass) * np.sinh(th)
+    w = state.grid.weights.astype(ld)
+    ar = state.amplitudes.real.astype(ld)
+    ai = state.amplitudes.imag.astype(ld)
+
+    def psi(t, x, factor):
+        arg = -(e * ld(t) - p * ld(x))
+        re = np.sum(factor * w * (np.cos(arg) * ar - np.sin(arg) * ai))
+        im = np.sum(factor * w * (np.cos(arg) * ai + np.sin(arg) * ar))
+        return re, im
+
+    dens = state.weights * np.abs(state.amplitudes) ** 2
+    e2_mean = float(np.sum(dens * state.energies**2) / np.sum(dens))
+    delta = 0.06 / math.sqrt(e2_mean)
+    stencil = [ld(c) / 5040 for c in (-9, 128, -1008, 8064, -14350, 8064, -1008, 128, -9)]
+    worst = 0.0
+    for t, x in points:
+        samples = [psi(t + k * delta, x, ld(1)) for k in range(-4, 5)]
+        fd_re = sum(c * s[0] for c, s in zip(stencil, samples)) / ld(delta) ** 2
+        fd_im = sum(c * s[1] for c, s in zip(stencil, samples)) / ld(delta) ** 2
+        ref_re, ref_im = psi(t, x, -(e * e))
+        worst = max(worst, math.hypot(float(fd_re - ref_re), float(fd_im - ref_im)))
+    return worst
+
+
+def test_kg_equation_residual_matches_unwindowed_reference(grid):
+    rng = np.random.default_rng(24)
+    hard = normalize(
+        from_spacetime_function(
+            Gaussian2D(1.0, 0.3, 0.02, 0.02, energy=50.0), 50.0, grid
+        )
+    )
+    for s in (_random_packet(rng, grid), hard):
+        points = default_probe_points(s, 6)
+        scale = float(np.sum(s.weights * s.energies**2 * np.abs(s.amplitudes)))
+        got = kg_equation_residual(s, points)
+        assert abs(got - _residual_reference(s, points)) < 1e-14 * scale
