@@ -18,7 +18,9 @@ Layout:
 - `coordinates`: quantum-controlled Lorentz coordinate transformations of
   event labels and the invariant distance observable.
 - `scenarios`: end-to-end physics scenarios (time dilation, length/width
-  contraction, superposed slices and boosts, the interference probe).
+  contraction, superposed slices and boosts, the interference probe, the
+  coordinate transform, the propagator table), each a dataclass of its
+  defaults and checks plus a runner returning a `ScenarioReport`.
 - `report`/`plots`: deterministic JSON/CSV serialization and SVG charts.
 - `acceptance`: the oracle-backed acceptance suite (`lorentzqrf selftest`).
 - `cli`: the `lorentzqrf` command line.
@@ -77,15 +79,20 @@ from .scenarios import (
     BoostSuperpositionScenario,
     BranchCheck,
     ContractionScenario,
+    CoordinateScenario,
     DilationScenario,
     FitError,
     InterferenceScenario,
+    PropagatorTableScenario,
     ScenarioReport,
     SliceScenario,
     WidthScenario,
     run_boost_superposition,
+    run_coordinate_transform,
+    run_interference_checks,
     run_length_contraction,
     run_nonrel_interference,
+    run_propagator_table,
     run_superposed_slice,
     run_time_dilation,
     run_width_contraction,

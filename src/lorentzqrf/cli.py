@@ -6,6 +6,13 @@ deterministic artifacts: report.json (canonical form, timestamp excluded
 from byte comparisons), an optional CSV table, and an optional SVG panel.
 `lorentzqrf selftest` runs the full acceptance suite.
 
+`SCENARIOS` maps each scenario name to its dataclass in `scenarios`, the
+name of its runner there, and a table from the documented config keys to
+the dataclass fields.  Defaults and range checks live in the dataclass
+alone; this module only turns JSON values into values of each field's
+annotated type, rejecting wrong types, non-integers and non-finite numbers
+with the config key named.
+
 Exit codes: 0 all in-report checks pass; 2 a tolerance check or fit failed;
 1 configuration error (unknown scenario, bad parameter, unreadable config,
 unwritable output directory).
@@ -18,89 +25,112 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, fields, replace
+from types import NoneType, UnionType
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import coordinates as coords
-from . import plots, report as reporting
-from .scenarios import (
-    BoostSuperpositionScenario,
-    ContractionScenario,
-    DilationScenario,
-    FitError,
-    InterferenceScenario,
-    BranchCheck,
-    ScenarioReport,
-    SliceScenario,
-    WidthScenario,
-    run_boost_superposition,
-    run_length_contraction,
-    run_nonrel_interference,
-    run_superposed_slice,
-    run_time_dilation,
-    run_width_contraction,
-)
-from .states import (
-    GaussianProfile,
-    PropagatorQuery,
-    RapidityGrid,
-    propagator,
-    wavefunction_grid,
-)
-from .frames import superposed_slice_state
+from . import plots, report as reporting, scenarios
+from .scenarios import BranchCheck, FitError, ScenarioReport
+from .states import wavefunction_grid
 
 __all__ = ["main", "SCENARIOS"]
 
-_CHECK_COLUMNS = [
-    "label",
-    "parameter",
-    "predicted",
-    "measured",
-    "tolerance",
-    "path",
-    "pass",
-]
-
-
-def _check_rows(rep: ScenarioReport) -> list[dict]:
-    return [b.to_dict() for b in rep.branches]
-
-
-def _reject_unknown(cfg: dict, defaults: dict, scenario: str) -> None:
-    unknown = sorted(set(cfg) - set(defaults))
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {', '.join(unknown)} for scenario {scenario}; "
-            f"known: {', '.join(sorted(defaults))}"
-        )
-
-
-def _omegas(value) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    return tuple(float(v) for v in value)
+# the keys of BranchCheck.to_dict, in order
+_CHECK_COLUMNS = [f.name for f in fields(BranchCheck)] + ["pass"]
 
 
 # ---------------------------------------------------------------------------
-# scenario adapters
+# config keys -> scenario fields
 
 
-def _run_dilation(cfg: dict) -> ScenarioReport:
-    scn = DilationScenario(
-        t1=float(cfg["t1"]),
-        t2=float(cfg["t1"]) + float(cfg["dt"]),
-        x0=float(cfg["x0"]),
-        omega1=float(cfg["w1"]),
-        omega2=float(cfg["w2"]),
-        mode=str(cfg["mode"]),
-        sigma=float(cfg["sigma"]),
-        mass=float(cfg["mass"]),
-    )
-    return run_time_dilation(scn)
+def _coerce(key: str, value, hint):
+    """The JSON value of config `key` as a value of the annotated type `hint`.
+
+    Numeric strings parse as numbers, and a single value where a list is
+    expected counts as a one-element list.  Raises ValueError naming `key`.
+    """
+    if get_origin(hint) is UnionType:  # X | None
+        if value is None:
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not NoneType)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if args[-1] is Ellipsis:
+            items = value if isinstance(value, list) else [value]
+            return tuple(_coerce(key, item, args[0]) for item in items)
+        if not (isinstance(value, list) and len(value) == len(args)):
+            raise ValueError(f"{key} needs a list of {len(args)} values, got {value!r}")
+        return tuple(_coerce(key, item, arg) for item, arg in zip(value, args))
+    if hint is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    except ValueError:
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    if hint is int:
+        if not number.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(number)
+    return number
 
 
-def _plot_dilation(rep: dict, cfg: dict) -> str:
-    if cfg["mode"] == "exact-event":
+def _check_table(rep: dict):
+    return rep["branches"], _CHECK_COLUMNS
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One `lorentzqrf run` scenario: `keys` maps each config key to its field.
+
+    A key mapped to None is a number that is not one field; `derived_defaults`
+    (of a default scenario) and `derived_fields` (of all keys) convert it.
+    `runner` is looked up in `scenarios` per run, so later wrappers run too.
+    """
+
+    scenario: type
+    runner: str
+    keys: dict[str, str | None]
+    plot: Callable[[dict, Any], str]
+    csv: Callable[[dict], tuple[list[dict], list[str]]] = _check_table
+    derived_defaults: Callable[[Any], dict] = lambda scn: {}
+    derived_fields: Callable[[dict], dict] = lambda cfg: {}
+
+    def settings(self, name: str, given: dict) -> tuple[dict, Any]:
+        """The resolved config, keyed like `given`, and its scenario."""
+        unknown = sorted(set(given) - set(self.keys))
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) {', '.join(unknown)} for scenario {name}; "
+                f"known: {', '.join(sorted(self.keys))}"
+            )
+        base = self.scenario()
+        hints = get_type_hints(self.scenario)
+        config = {key: getattr(base, f) for key, f in self.keys.items() if f}
+        config.update(self.derived_defaults(base))
+        for key, value in given.items():
+            hint = hints[self.keys[key]] if self.keys[key] else float
+            config[key] = _coerce(key, value, hint)
+        values = {f: config[key] for key, f in self.keys.items() if f}
+        values.update(self.derived_fields(config))
+        return config, replace(base, **values)
+
+
+# ---------------------------------------------------------------------------
+# tables and plots
+
+
+def _plot_dilation(rep: dict, scn) -> str:
+    if rep["details"]["mode"] == "exact-event":
         groups = [
             (name, [tuple(ev) for ev in data["events"]])
             for name, data in sorted(rep["grids"].items())
@@ -117,19 +147,7 @@ def _plot_dilation(rep: dict, cfg: dict) -> str:
     )
 
 
-def _run_contraction(cfg: dict) -> ScenarioReport:
-    scn = ContractionScenario(
-        x1=float(cfg["x1"]),
-        x2=float(cfg["x2"]),
-        v_b=float(cfg["vb"]),
-        v_d=float(cfg["vd"]),
-        t_b=None if cfg["tb"] is None else tuple(float(v) for v in cfg["tb"]),
-        t_d=None if cfg["td"] is None else tuple(float(v) for v in cfg["td"]),
-    )
-    return run_length_contraction(scn)
-
-
-def _plot_contraction(rep: dict, cfg: dict) -> str:
+def _plot_contraction(rep: dict, scn) -> str:
     groups = []
     for branch_name, pairs in sorted(rep["grids"].items()):
         for pair_name, events in sorted(pairs.items()):
@@ -139,16 +157,7 @@ def _plot_contraction(rep: dict, cfg: dict) -> str:
     return plots.event_chart(groups, title="length contraction: rod end events")
 
 
-def _run_width(cfg: dict) -> ScenarioReport:
-    scn = WidthScenario(
-        sigma=float(cfg["sigma"]),
-        omegas=_omegas(cfg["omegas"]),
-        mass=float(cfg["mass"]),
-    )
-    return run_width_contraction(scn)
-
-
-def _plot_width(rep: dict, cfg: dict) -> str:
+def _plot_width(rep: dict, scn) -> str:
     series = [
         (name, data["x"], data["profile"])
         for name, data in sorted(rep["grids"].items())
@@ -161,37 +170,12 @@ def _plot_width(rep: dict, cfg: dict) -> str:
     )
 
 
-def _run_slice(cfg: dict) -> ScenarioReport:
-    scn = SliceScenario(
-        sigma=float(cfg["sigma"]),
-        payload_time=float(cfg["tb"]),
-        frame_time=float(cfg["tc"]),
-        omegas=_omegas(cfg["omegas"]),
-        payload_mass=float(cfg["payload_mass"]),
-        frame_mass=float(cfg["frame_mass"]),
-        branch_mass=float(cfg["branch_mass"]),
-    )
-    return run_superposed_slice(scn)
-
-
-def _plot_slice(rep: dict, cfg: dict) -> str:
-    # rebuild the branch payloads to draw their spacetime supports in the
-    # branch colors, with the fitted ridge lines overlaid
-    omegas = _omegas(cfg["omegas"])
-    amp = 1.0 / math.sqrt(len(omegas))
-    state = superposed_slice_state(
-        GaussianProfile(0.0, float(cfg["sigma"])),
-        [(om, amp) for om in omegas],
-        payload_time=float(cfg["tb"]),
-        frame_time=float(cfg["tc"]),
-        frame_mass=float(cfg["frame_mass"]),
-        branch_mass=float(cfg["branch_mass"]),
-        payload_mass=float(cfg["payload_mass"]),
-    )
-    span_x = max(
-        4.0 * float(cfg["sigma"]) * math.cosh(om) for om in omegas
-    )
-    span_t = max(abs(float(cfg["tb"])) + 0.5 * span_x, 1.0)
+def _plot_slice(rep: dict, scn) -> str:
+    # draw the branch payloads' spacetime supports in the branch colors,
+    # with the fitted ridge lines overlaid
+    state = scenarios.slice_scenario_state(scn)
+    span_x = max(4.0 * scn.sigma * math.cosh(om) for om in scn.omegas)
+    span_t = max(abs(scn.payload_time) + 0.5 * span_x, 1.0)
     xs = np.linspace(-span_x, span_x, 72)
     ts = np.linspace(-0.2 * span_t, 1.2 * span_t, 72)
     layers = []
@@ -211,16 +195,7 @@ def _plot_slice(rep: dict, cfg: dict) -> str:
     )
 
 
-def _run_boosts(cfg: dict) -> ScenarioReport:
-    scn = BoostSuperpositionScenario(
-        sigma=float(cfg["sigma"]),
-        omegas=_omegas(cfg["omegas"]),
-        mass=float(cfg["mass"]),
-    )
-    return run_boost_superposition(scn)
-
-
-def _plot_boosts(rep: dict, cfg: dict) -> str:
+def _plot_boosts(rep: dict, scn) -> str:
     theta = rep["grids"]["theta"]
     series = [("total", theta, rep["grids"]["density_total"])]
     for name, dens in sorted(rep["grids"]["density_branches"].items()):
@@ -233,49 +208,7 @@ def _plot_boosts(rep: dict, cfg: dict) -> str:
     )
 
 
-def _run_interference(cfg: dict) -> ScenarioReport:
-    scn = InterferenceScenario(
-        x0=float(cfg["x0"]),
-        t0=float(cfg["t0"]),
-        sigma_x=float(cfg["sx"]),
-        sigma_t=float(cfg["st"]),
-        mass=float(cfg["m"]),
-        omega1=float(cfg["w1"]),
-        omega2=float(cfg["w2"]),
-        probe=(float(cfg["tp"]), float(cfg["xp"])),
-        sign=int(cfg["sign"]),
-        frame_width=None if cfg["frame_width"] is None else float(cfg["frame_width"]),
-    )
-    prob = run_nonrel_interference(scn)
-    comp = prob.components
-    checks = (
-        BranchCheck(
-            label="outcome-completeness",
-            parameter=float(scn.sign),
-            predicted=comp["total"],
-            measured=comp["p_plus"] + comp["p_minus"],
-            tolerance=1e-10,
-            path="wave-packet",
-        ),
-        BranchCheck(
-            label="frame-overlap-small",
-            parameter=scn.omega1 - scn.omega2,
-            predicted=0.0,
-            measured=comp["frame_overlap"],
-            tolerance=1e-3,
-            path="exact-coordinate",
-        ),
-    )
-    return ScenarioReport(
-        scenario="nonrel-interference",
-        branches=checks,
-        warnings=prob.warnings,
-        details={"value": prob.value, "components": dict(comp)},
-        grids={},
-    )
-
-
-def _csv_interference(rep: dict, cfg: dict):
+def _interference_table(rep: dict):
     rows = [
         {"component": name, "value": value}
         for name, value in sorted(rep["details"]["components"].items())
@@ -284,7 +217,7 @@ def _csv_interference(rep: dict, cfg: dict):
     return rows, ["component", "value"]
 
 
-def _plot_interference(rep: dict, cfg: dict) -> str:
+def _plot_interference(rep: dict, scn) -> str:
     comp = rep["details"]["components"]
     pairs = [
         ("p+", comp["p_plus"]),
@@ -298,50 +231,7 @@ def _plot_interference(rep: dict, cfg: dict) -> str:
     )
 
 
-def _run_coordinates(cfg: dict) -> ScenarioReport:
-    lab = tuple(
-        coords.VelocityBranch(float(v), complex(a[0], a[1]))
-        for v, a in zip(cfg["velocities"], cfg["amplitudes"])
-    ) if cfg["amplitudes"] is not None else tuple(
-        coords.VelocityBranch(float(v)) for v in cfg["velocities"]
-    )
-    events = tuple(
-        tuple(coords.EventCoordinate(float(t), float(x)) for t, x in row)
-        for row in cfg["events"]
-    )
-    state = coords.JointCoordinateState(str(cfg["owner"]), lab, events)
-    moved = coords.transform_frame(state, str(cfg["owner"]), str(cfg["target"]))
-    checks = []
-    if state.n_events >= 2:
-        before = coords.distance_expectation(state, 0, 1)
-        after = coords.distance_expectation(moved, 0, 1)
-        for branch, b_int, a_int in zip(state.lab, before, after):
-            checks.append(
-                BranchCheck(
-                    label=f"v={branch.v:g}:interval",
-                    parameter=branch.v,
-                    predicted=b_int.value,
-                    measured=a_int.value,
-                    tolerance=1e-12,
-                    path="exact-coordinate",
-                )
-            )
-    grids = {
-        "before": coords.state_to_dict(state)["events"],
-        "after": coords.state_to_dict(moved)["events"],
-    }
-    return ScenarioReport(
-        scenario="coordinate-transform",
-        branches=tuple(checks),
-        details={
-            "before": coords.state_to_dict(state),
-            "after": coords.state_to_dict(moved),
-        },
-        grids=grids,
-    )
-
-
-def _plot_coordinates(rep: dict, cfg: dict) -> str:
+def _plot_coordinates(rep: dict, scn) -> str:
     groups = []
     for stage in ("before", "after"):
         state = rep["details"][stage]
@@ -352,52 +242,11 @@ def _plot_coordinates(rep: dict, cfg: dict) -> str:
     return plots.event_chart(groups, title="coordinate transform: branch events")
 
 
-def _run_propagator_table(cfg: dict) -> ScenarioReport:
-    mass = float(cfg["m"])
-    step = float(cfg["step"])
-    steps = int(cfg["steps"])
-    for key, value in (("m", mass), ("step", step)):
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-    if step <= 0.0 or steps < 1:
-        raise ValueError("step must be positive and steps >= 1")
-    # the propagator squares the largest separation step*steps and scales
-    # its square root by m
-    reach = step * steps
-    if not (math.isfinite(reach * reach) and math.isfinite(mass * reach)):
-        raise ValueError(
-            f"step*steps*m overflows the propagator argument "
-            f"(step={step!r}, steps={steps}, m={mass!r})"
-        )
-    rows = []
-    timelike = {"dt": [], "re": [], "im": []}
-    spacelike = {"dx": [], "value": []}
-    for k in range(1, steps + 1):
-        dt = step * k
-        w = propagator(PropagatorQuery(dt, 0.0, mass))
-        rows.append({"dt": dt, "dx": 0.0, "re": w.real, "im": w.imag})
-        timelike["dt"].append(dt)
-        timelike["re"].append(w.real)
-        timelike["im"].append(w.imag)
-    for k in range(1, steps + 1):
-        dx = step * k
-        w = propagator(PropagatorQuery(0.0, dx, mass))
-        rows.append({"dt": 0.0, "dx": dx, "re": w.real, "im": w.imag})
-        spacelike["dx"].append(dx)
-        spacelike["value"].append(w.real)
-    return ScenarioReport(
-        scenario="propagator-table",
-        branches=(),
-        details={"mass": mass},
-        grids={"rows": rows, "timelike": timelike, "spacelike": spacelike},
-    )
-
-
-def _csv_propagator(rep: dict, cfg: dict):
+def _propagator_table(rep: dict):
     return rep["grids"]["rows"], ["dt", "dx", "re", "im"]
 
 
-def _plot_propagator(rep: dict, cfg: dict) -> str:
+def _plot_propagator(rep: dict, scn) -> str:
     tl = rep["grids"]["timelike"]
     sl = rep["grids"]["spacelike"]
     series = [
@@ -413,107 +262,72 @@ def _plot_propagator(rep: dict, cfg: dict) -> str:
     )
 
 
-def _default_csv(rep: dict, cfg: dict):
-    return rep["branches"], _CHECK_COLUMNS
-
-
-_LN2 = math.log(2.0)
-
 SCENARIOS = {
-    "time-dilation": {
-        "defaults": {
-            "dt": 1.0,
-            "t1": 0.0,
-            "x0": 0.0,
-            "w1": 0.0,
-            "w2": _LN2,
-            "mode": "exact-event",
-            "sigma": 0.02,
-            "mass": 50.0,
+    "time-dilation": _Entry(
+        scenarios.DilationScenario,
+        "run_time_dilation",
+        {
+            "t1": "t1", "dt": None, "x0": "x0", "w1": "omega1", "w2": "omega2",
+            "mode": "mode", "sigma": "sigma", "mass": "mass",
         },
-        "run": _run_dilation,
-        "csv": _default_csv,
-        "plot": _plot_dilation,
-    },
-    "length-contraction": {
-        "defaults": {
-            "x1": 0.0,
-            "x2": 1.0,
-            "vb": 0.6,
-            "vd": 0.8,
-            "tb": None,
-            "td": None,
+        _plot_dilation,
+        derived_defaults=lambda scn: {"dt": scn.t2 - scn.t1},
+        derived_fields=lambda cfg: {"t2": cfg["t1"] + cfg["dt"]},
+    ),
+    "length-contraction": _Entry(
+        scenarios.ContractionScenario,
+        "run_length_contraction",
+        {"x1": "x1", "x2": "x2", "vb": "v_b", "vd": "v_d", "tb": "t_b", "td": "t_d"},
+        _plot_contraction,
+    ),
+    "width-contraction": _Entry(
+        scenarios.WidthScenario,
+        "run_width_contraction",
+        {"sigma": "sigma", "omegas": "omegas", "mass": "mass"},
+        _plot_width,
+    ),
+    "superposed-slice": _Entry(
+        scenarios.SliceScenario,
+        "run_superposed_slice",
+        {
+            "sigma": "sigma", "tb": "payload_time", "tc": "frame_time",
+            "omegas": "omegas", "payload_mass": "payload_mass",
+            "frame_mass": "frame_mass", "branch_mass": "branch_mass",
         },
-        "run": _run_contraction,
-        "csv": _default_csv,
-        "plot": _plot_contraction,
-    },
-    "width-contraction": {
-        "defaults": {
-            "sigma": 1.0,
-            "omegas": [0.0, _LN2, math.atanh(0.8)],
-            "mass": 5.0,
+        _plot_slice,
+    ),
+    "superposition-of-boosts": _Entry(
+        scenarios.BoostSuperpositionScenario,
+        "run_boost_superposition",
+        {"sigma": "sigma", "omegas": "omegas", "mass": "mass"},
+        _plot_boosts,
+    ),
+    "nonrel-interference": _Entry(
+        scenarios.InterferenceScenario,
+        "run_interference_checks",
+        {
+            "x0": "x0", "t0": "t0", "sx": "sigma_x", "st": "sigma_t", "m": "mass",
+            "w1": "omega1", "w2": "omega2", "tp": None, "xp": None, "sign": "sign",
+            "frame_width": "frame_width",
         },
-        "run": _run_width,
-        "csv": _default_csv,
-        "plot": _plot_width,
-    },
-    "superposed-slice": {
-        "defaults": {
-            "sigma": 1.0,
-            "tb": 0.4,
-            "tc": 0.0,
-            "omegas": [0.25, 0.65],
-            "payload_mass": 1.0,
-            "frame_mass": 1.0,
-            "branch_mass": 1.0,
-        },
-        "run": _run_slice,
-        "csv": _default_csv,
-        "plot": _plot_slice,
-    },
-    "superposition-of-boosts": {
-        "defaults": {"sigma": 2.5, "omegas": [-0.35, 0.6], "mass": 1.0},
-        "run": _run_boosts,
-        "csv": _default_csv,
-        "plot": _plot_boosts,
-    },
-    "nonrel-interference": {
-        "defaults": {
-            "x0": 0.0,
-            "t0": 0.0,
-            "sx": 1.0,
-            "st": 1.0,
-            "m": 1.0,
-            "w1": 0.02,
-            "w2": -0.02,
-            "tp": 5.0,
-            "xp": 1.0,
-            "sign": 1,
-            "frame_width": None,
-        },
-        "run": _run_interference,
-        "csv": _csv_interference,
-        "plot": _plot_interference,
-    },
-    "coordinate-transform": {
-        "defaults": {
-            "owner": "A",
-            "target": "B",
-            "velocities": [0.6, -0.3],
-            "amplitudes": None,
-            "events": [[[0.0, 0.0], [2.0, 1.0]], [[0.0, 0.0], [2.0, 1.0]]],
-        },
-        "run": _run_coordinates,
-        "csv": _default_csv,
-        "plot": _plot_coordinates,
-    },
-    "propagator-table": {
-        "defaults": {"m": 1.0, "step": 0.25, "steps": 12},
-        "run": _run_propagator_table,
-        "csv": _csv_propagator,
-        "plot": _plot_propagator,
-    },
+        _plot_interference,
+        _interference_table,
+        derived_defaults=lambda scn: {"tp": scn.probe[0], "xp": scn.probe[1]},
+        derived_fields=lambda cfg: {"probe": (cfg["tp"], cfg["xp"])},
+    ),
+    "coordinate-transform": _Entry(
+        scenarios.CoordinateScenario,
+        "run_coordinate_transform",
+        {k: k for k in ("owner", "target", "velocities", "amplitudes", "events")},
+        _plot_coordinates,
+    ),
+    "propagator-table": _Entry(
+        scenarios.PropagatorTableScenario,
+        "run_propagator_table",
+        {"m": "mass", "step": "step", "steps": "steps"},
+        _plot_propagator,
+        _propagator_table,
+    ),
 }
 
 
@@ -569,20 +383,11 @@ def _cmd_run(args) -> int:
         return 1
     entry = SCENARIOS[args.scenario]
     try:
-        cfg = dict(entry["defaults"])
-        file_cfg = _load_config(args.config)
-        overrides = _parse_set(args.set or [])
-        _reject_unknown(file_cfg, entry["defaults"], args.scenario)
-        _reject_unknown(overrides, entry["defaults"], args.scenario)
-        cfg.update(file_cfg)
-        cfg.update(overrides)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        rep = entry["run"](cfg)
-    except (ValueError, TypeError) as exc:
+        given = _load_config(args.config)
+        given.update(_parse_set(args.set or []))
+        cfg, scn = entry.settings(args.scenario, given)
+        rep = getattr(scenarios, entry.runner)(scn)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FitError as exc:
@@ -595,10 +400,10 @@ def _cmd_run(args) -> int:
         payload = reporting.build_report(rep_dict, config=cfg)
         reporting.write_report(payload, os.path.join(args.out, "report.json"))
         if args.csv:
-            rows, columns = entry["csv"](rep_dict, cfg)
+            rows, columns = entry.csv(rep_dict)
             reporting.write_csv(rows, columns, os.path.join(args.out, "table.csv"))
         if args.plot == "svg":
-            svg = entry["plot"](rep_dict, cfg)
+            svg = entry.plot(rep_dict, scn)
             with open(
                 os.path.join(args.out, "plot.svg"), "w", encoding="utf-8"
             ) as fh:

@@ -30,17 +30,21 @@ def _quiet_curve_fit(*args, **kwargs):
         _warnings.simplefilter("ignore", OptimizeWarning)
         return curve_fit(*args, **kwargs)
 
+from . import coordinates as coords
 from .kinematics import boost_point, check_mass, rapidity_of_velocity
-from .frames import BranchedFrameState, SharpBranch, change_frame, superposed_slice_state
+from .frames import BranchedFrameState, superposed_slice_state
 from .measurement import ProbabilityReport
 from .states import (
+    MAX_TIMELIKE_MS,
     Gaussian2D,
     GaussianProfile,
+    PropagatorQuery,
     RapidityGrid,
     RapidityState,
     Slice,
     boost_state,
     from_spacetime_function,
+    propagator,
     slice_profile,
     wavefunction_grid,
 )
@@ -60,12 +64,18 @@ __all__ = [
     "WidthScenario",
     "run_width_contraction",
     "SliceScenario",
+    "slice_scenario_state",
     "run_superposed_slice",
     "BoostSuperpositionScenario",
     "run_boost_superposition",
     "InterferenceScenario",
     "interference_amplitude",
     "run_nonrel_interference",
+    "run_interference_checks",
+    "CoordinateScenario",
+    "run_coordinate_transform",
+    "PropagatorTableScenario",
+    "run_propagator_table",
 ]
 
 
@@ -489,20 +499,13 @@ class WidthScenario:
 
 def run_width_contraction(scn: WidthScenario) -> ScenarioReport:
     """Fits the t=0 spatial width of each branch payload after the jump."""
-    grid = scn.grid or RapidityGrid.default()
-    payload = from_spacetime_function(
-        Slice(0.0, GaussianProfile(0.0, scn.sigma)), scn.mass, grid
-    )
     amp = 1.0 / math.sqrt(len(scn.omegas))
-    start = BranchedFrameState(
-        frame="C",
-        frame_mass=1.0,
-        branch_system="A",
-        branches=tuple(SharpBranch(om, amp, 1.0) for om in scn.omegas),
-        payload_labels=("B",),
-        payloads=tuple((payload,) for _ in scn.omegas),
+    jumped = superposed_slice_state(
+        GaussianProfile(0.0, scn.sigma),
+        [(om, amp) for om in scn.omegas],
+        payload_mass=scn.mass,
+        grid=scn.grid,
     )
-    jumped = change_frame(start, "C", "A")
     checks = []
     grids: dict = {}
     warnings = []
@@ -573,16 +576,10 @@ class SliceScenario:
             raise ValueError("branch rapidities must be distinct and nonempty")
 
 
-def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
-    """Slope and intercept of each branch's tilted support line.
-
-    Branch omega carries the payload on t = payload_time/cosh(omega)
-    + tanh(omega) x; both numbers are extracted from the rapidity-space
-    amplitudes (peak location and phase fit), not from wavefunction scans.
-    """
-    grid = scn.grid or RapidityGrid.default()
+def slice_scenario_state(scn: SliceScenario) -> BranchedFrameState:
+    """The scenario's payload jumped onto the equal-weight branch superposition."""
     amp = 1.0 / math.sqrt(len(scn.omegas))
-    state = superposed_slice_state(
+    return superposed_slice_state(
         GaussianProfile(0.0, scn.sigma),
         [(om, amp) for om in scn.omegas],
         payload_time=scn.payload_time,
@@ -590,8 +587,18 @@ def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
         frame_mass=scn.frame_mass,
         branch_mass=scn.branch_mass,
         payload_mass=scn.payload_mass,
-        grid=grid,
+        grid=scn.grid,
     )
+
+
+def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
+    """Slope and intercept of each branch's tilted support line.
+
+    Branch omega carries the payload on t = payload_time/cosh(omega)
+    + tanh(omega) x; both numbers are extracted from the rapidity-space
+    amplitudes (peak location and phase fit), not from wavefunction scans.
+    """
+    state = slice_scenario_state(scn)
     checks = []
     grids: dict = {}
     for branch, (pay,) in zip(state.branches, state.payloads):
@@ -747,6 +754,9 @@ class InterferenceScenario:
             raise ValueError("postselection sign must be +1 or -1")
         if self.sigma_x <= 0.0 or self.sigma_t <= 0.0:
             raise ValueError("packet widths must be positive")
+        width = self.frame_width
+        if width is not None and not (math.isfinite(width) and width > 0.0):
+            raise ValueError(f"frame_width must be positive and finite, got {width!r}")
         check_mass(self.mass)
         if abs(self.probe[0] - self.t0) < 1e-9:
             raise ValueError(
@@ -840,4 +850,163 @@ def run_nonrel_interference(scn: InterferenceScenario) -> ProbabilityReport:
             "frame_overlap": overlap,
         },
         warnings=tuple(warnings),
+    )
+
+
+def run_interference_checks(scn: InterferenceScenario) -> ScenarioReport:
+    """The interference probe as a report: outcome completeness p_+ + p_- =
+    total, and a frame-branch overlap small enough for the two-outcome split.
+    """
+    prob = run_nonrel_interference(scn)
+    comp = prob.components
+    checks = (
+        BranchCheck(
+            label="outcome-completeness",
+            parameter=float(scn.sign),
+            predicted=comp["total"],
+            measured=comp["p_plus"] + comp["p_minus"],
+            tolerance=1e-10,
+            path="wave-packet",
+        ),
+        BranchCheck(
+            label="frame-overlap-small",
+            parameter=scn.omega1 - scn.omega2,
+            predicted=0.0,
+            measured=comp["frame_overlap"],
+            tolerance=1e-3,
+            path="exact-coordinate",
+        ),
+    )
+    return ScenarioReport(
+        scenario="nonrel-interference",
+        branches=checks,
+        warnings=prob.warnings,
+        details={"value": prob.value, "components": dict(comp)},
+    )
+
+
+# ---------------------------------------------------------------------------
+# quantum-controlled coordinate transformation
+
+
+@dataclass(frozen=True)
+class CoordinateScenario:
+    """Branch-correlated events re-expressed relative to the sharp system.
+
+    `amplitudes` holds one (re, im) pair per velocity branch, or None for
+    unit amplitudes; `events` holds one row of (t, x) events per branch.
+    """
+
+    owner: str = "A"
+    target: str = "B"
+    velocities: tuple[float, ...] = (0.6, -0.3)
+    amplitudes: tuple[tuple[float, float], ...] | None = None
+    events: tuple[tuple[tuple[float, float], ...], ...] = (
+        ((0.0, 0.0), (2.0, 1.0)),
+        ((0.0, 0.0), (2.0, 1.0)),
+    )
+
+    def state(self) -> coords.JointCoordinateState:
+        amps = self.amplitudes
+        if amps is None:
+            amps = ((1.0, 0.0),) * len(self.velocities)
+        if len(amps) != len(self.velocities):
+            raise ValueError("amplitudes need one (re, im) pair per velocity")
+        lab = tuple(
+            coords.VelocityBranch(v, complex(*a)) for v, a in zip(self.velocities, amps)
+        )
+        events = tuple(
+            tuple(coords.EventCoordinate(t, x) for t, x in row) for row in self.events
+        )
+        return coords.JointCoordinateState(self.owner, lab, events)
+
+
+def run_coordinate_transform(scn: CoordinateScenario) -> ScenarioReport:
+    """Per-branch invariant interval of the first two events, before and
+    after the controlled frame change (exact to roundoff)."""
+    state = scn.state()
+    moved = coords.transform_frame(state, scn.owner, scn.target)
+    checks = []
+    if state.n_events >= 2:
+        before = coords.distance_expectation(state, 0, 1)
+        after = coords.distance_expectation(moved, 0, 1)
+        for branch, b_int, a_int in zip(state.lab, before, after):
+            checks.append(
+                BranchCheck(
+                    label=f"v={branch.v:g}:interval",
+                    parameter=branch.v,
+                    predicted=b_int.value,
+                    measured=a_int.value,
+                    tolerance=1e-12,
+                    path="exact-coordinate",
+                )
+            )
+    before_dict, after_dict = coords.state_to_dict(state), coords.state_to_dict(moved)
+    return ScenarioReport(
+        scenario="coordinate-transform",
+        branches=tuple(checks),
+        details={"before": before_dict, "after": after_dict},
+        grids={"before": before_dict["events"], "after": after_dict["events"]},
+    )
+
+
+# ---------------------------------------------------------------------------
+# two-point function table
+
+
+@dataclass(frozen=True)
+class PropagatorTableScenario:
+    """W(dt, 0) and W(0, dx) at separations step, 2 step, ..., steps step.
+
+    m*step*steps is held to the continuum propagator's accuracy bound
+    `states.MAX_TIMELIKE_MS`, and steps to MAX_STEPS (a table of seconds).
+    """
+
+    MAX_STEPS = 10_000
+
+    mass: float = 1.0
+    step: float = 0.25
+    steps: int = 12
+
+    def __post_init__(self) -> None:
+        check_mass(self.mass)
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step must be positive and finite, got {self.step!r}")
+        if not 1 <= self.steps <= self.MAX_STEPS:
+            raise ValueError(f"steps must be in 1..{self.MAX_STEPS}, got {self.steps}")
+        # the propagator squares the largest separation step*steps and scales
+        # its square root by m
+        reach = self.step * self.steps
+        if not (math.isfinite(reach * reach) and math.isfinite(self.mass * reach)):
+            raise ValueError(
+                f"step*steps*m overflows the propagator argument "
+                f"(step={self.step!r}, steps={self.steps}, m={self.mass!r})"
+            )
+        if self.mass * reach > MAX_TIMELIKE_MS:
+            raise ValueError(
+                f"m*step*steps = {self.mass * reach!r} exceeds {MAX_TIMELIKE_MS:g}, "
+                "beyond which the propagator quadrature loses accuracy"
+            )
+
+
+def run_propagator_table(scn: PropagatorTableScenario) -> ScenarioReport:
+    """The continuum two-point function along the time and space axes."""
+    seps = [scn.step * k for k in range(1, scn.steps + 1)]
+    tl = [propagator(PropagatorQuery(s, 0.0, scn.mass)) for s in seps]
+    sl = [propagator(PropagatorQuery(0.0, s, scn.mass)) for s in seps]
+    rows = [{"dt": s, "dx": 0.0, "re": w.real, "im": w.imag} for s, w in zip(seps, tl)]
+    rows += [{"dt": 0.0, "dx": s, "re": w.real, "im": w.imag} for s, w in zip(seps, sl)]
+    return ScenarioReport(
+        scenario="propagator-table",
+        branches=(),
+        details={"mass": scn.mass},
+        grids={
+            "rows": rows,
+            "timelike": {
+                "dt": seps,
+                "re": [w.real for w in tl],
+                "im": [w.imag for w in tl],
+            },
+            "spacelike": {"dx": seps, "value": [w.real for w in sl]},
+        },
     )

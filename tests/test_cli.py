@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from lorentzqrf import cli, plots
+from lorentzqrf import cli, plots, scenarios
 from lorentzqrf import report as reporting
 
 
@@ -319,6 +319,110 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, setting, message",
+    [
+        ("propagator-table", "steps=2.7", "steps must be an integer, got 2.7"),
+        ("propagator-table", "steps=100000000", "steps must be in 1..10000"),
+        ("propagator-table", "m=1e300", "m*step*steps = 3e+300 exceeds"),
+        ("nonrel-interference", "sign=1.5", "sign must be an integer, got 1.5"),
+        ("nonrel-interference", "frame_width=0", "frame_width must be positive"),
+        ("width-contraction", "sigma=true", "sigma must be a number, got True"),
+        ("width-contraction", 'omegas="abc"', "omegas must be a number, got 'abc'"),
+        ("time-dilation", "x0=[1]", "x0 must be a number, got [1]"),
+        ("time-dilation", "dt=NaN", "dt must be finite, got nan"),
+        ("length-contraction", "tb=[0.6]", "tb needs a list of 2 values"),
+        ("coordinate-transform", "owner=1", "owner must be a string, got 1"),
+    ],
+)
+def test_run_rejects_bad_values_naming_the_key(
+    tmp_path, capsys, scenario, setting, message
+):
+    code = cli.main(
+        ["run", "--scenario", scenario, "--set", setting, "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+# every documented key of every scenario with its default, as `report.json`
+# echoes it under "config"
+DOCUMENTED_DEFAULTS = {
+    "time-dilation": {
+        "dt": 1.0, "t1": 0.0, "x0": 0.0, "w1": 0.0, "w2": math.log(2.0),
+        "mode": "exact-event", "sigma": 0.02, "mass": 50.0,
+    },
+    "length-contraction": {
+        "x1": 0.0, "x2": 1.0, "vb": 0.6, "vd": 0.8, "tb": None, "td": None,
+    },
+    "width-contraction": {
+        "sigma": 1.0, "omegas": [0.0, math.log(2.0), math.atanh(0.8)], "mass": 5.0,
+    },
+    "superposed-slice": {
+        "sigma": 1.0, "tb": 0.4, "tc": 0.0, "omegas": [0.25, 0.65],
+        "payload_mass": 1.0, "frame_mass": 1.0, "branch_mass": 1.0,
+    },
+    "superposition-of-boosts": {"sigma": 2.5, "omegas": [-0.35, 0.6], "mass": 1.0},
+    "nonrel-interference": {
+        "x0": 0.0, "t0": 0.0, "sx": 1.0, "st": 1.0, "m": 1.0, "w1": 0.02,
+        "w2": -0.02, "tp": 5.0, "xp": 1.0, "sign": 1, "frame_width": None,
+    },
+    "coordinate-transform": {
+        "owner": "A", "target": "B", "velocities": [0.6, -0.3], "amplitudes": None,
+        "events": [[[0.0, 0.0], [2.0, 1.0]], [[0.0, 0.0], [2.0, 1.0]]],
+    },
+    "propagator-table": {"m": 1.0, "step": 0.25, "steps": 12},
+}
+
+LIBRARY_RUNS = {
+    "time-dilation": lambda: scenarios.run_time_dilation(
+        scenarios.DilationScenario()
+    ),
+    "length-contraction": lambda: scenarios.run_length_contraction(
+        scenarios.ContractionScenario()
+    ),
+    "width-contraction": lambda: scenarios.run_width_contraction(
+        scenarios.WidthScenario()
+    ),
+    "superposed-slice": lambda: scenarios.run_superposed_slice(
+        scenarios.SliceScenario()
+    ),
+    "superposition-of-boosts": lambda: scenarios.run_boost_superposition(
+        scenarios.BoostSuperpositionScenario()
+    ),
+    "nonrel-interference": lambda: scenarios.run_interference_checks(
+        scenarios.InterferenceScenario()
+    ),
+    "coordinate-transform": lambda: scenarios.run_coordinate_transform(
+        scenarios.CoordinateScenario()
+    ),
+    "propagator-table": lambda: scenarios.run_propagator_table(
+        scenarios.PropagatorTableScenario()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTED_DEFAULTS))
+def test_run_defaults_match_library_and_documented_keys(tmp_path, capsys, name):
+    assert set(cli.SCENARIOS) == set(DOCUMENTED_DEFAULTS)
+    code = cli.main(["run", "--scenario", name, "--out", str(tmp_path)])
+    assert code == 0
+    payload = json.loads(
+        reporting.strip_timestamp(_read_report(tmp_path / "report.json"))
+    )
+    assert payload.pop("config") == DOCUMENTED_DEFAULTS[name]
+    assert reporting.canonical_json(payload) == reporting.canonical_json(
+        LIBRARY_RUNS[name]().to_dict()
+    )
+    code = cli.main(
+        ["run", "--scenario", name, "--set", "bogus=1", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    known = ", ".join(sorted(DOCUMENTED_DEFAULTS[name]))
+    assert capsys.readouterr().err.rstrip().endswith(f"known: {known}")
 
 
 def test_run_interference_scenario(tmp_path):

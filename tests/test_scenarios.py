@@ -455,3 +455,6 @@ def test_interference_validation_errors():
         InterferenceScenario(sigma_x=0.0)
     with pytest.raises(ValueError, match="singularity"):
         InterferenceScenario(probe=(0.0, 1.0))
+    for width in (0.0, -0.05, math.inf, math.nan):
+        with pytest.raises(ValueError, match="frame_width"):
+            InterferenceScenario(frame_width=width)

@@ -496,6 +496,25 @@ def test_propagator_spacelike_positive():
         assert w.real > 0.0
 
 
+def test_propagator_timelike_bound():
+    # accurate at the bound, in either time direction and through m or s
+    bound = states.MAX_TIMELIKE_MS
+    for dt, dx, m in [(bound, 0.0, 1.0), (-1.0, 0.0, bound), (5.0, 3.0, bound / 4)]:
+        w = propagator(PropagatorQuery(dt, dx, m))
+        o = _oracle_propagator(dt, dx, m)
+        assert abs(w - o) < 1e-10 * abs(o)
+    # just above it the quadrature is no longer trusted
+    above = bound * (1.0 + 1e-9)
+    with pytest.raises(ValueError, match="exceeds"):
+        propagator(PropagatorQuery(above, 0.0, 1.0))
+    with pytest.raises(ValueError, match="exceeds"):
+        propagator(PropagatorQuery(-1.0, 0.0, above))
+    # spacelike separations and the lattice sum are not bounded
+    assert propagator(PropagatorQuery(0.0, 10.0 * bound, 1.0)).real >= 0.0
+    grid = RapidityGrid.symmetric(5.0, 64)
+    assert math.isfinite(abs(propagator(PropagatorQuery(above, 0.0, 1.0), grid)))
+
+
 # ---------------------------------------------------------------------------
 # equation of motion
 
