@@ -122,7 +122,13 @@ class _Entry:
             config[key] = _coerce(key, value, hint)
         values = {f: config[key] for key, f in self.keys.items() if f}
         values.update(self.derived_fields(config))
-        return config, replace(base, **values)
+        try:
+            return config, replace(base, **values)
+        except ValueError as exc:
+            # the defaults are valid, so the keys given are the ones to check;
+            # the scenario's own message names fields, not keys
+            keys = ", ".join(f"{key}={config[key]!r}" for key in given)
+            raise ValueError(f"{exc} (given {keys})") from None
 
 
 # ---------------------------------------------------------------------------

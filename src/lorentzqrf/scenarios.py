@@ -19,11 +19,12 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import OptimizeWarning, curve_fit
 
 
 def _quiet_curve_fit(*args, **kwargs):
+    # scipy loads on first use, so scenarios that fit nothing never import it
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     # near-exact data makes the covariance estimate singular; the reports
     # carry explicit residuals instead
     with _warnings.catch_warnings():
@@ -790,6 +791,8 @@ def interference_amplitude(scn: InterferenceScenario, omega: float) -> complex:
             * cmath.sqrt(math.pi / a)
             * cmath.exp(b * b / (4 * a) + c)
         )
+
+    from scipy.integrate import quad
 
     half_width = 14.0 * st
     lo, hi = scn.t0 - half_width, scn.t0 + half_width

@@ -23,10 +23,26 @@ equals (i/2pi) integral dx (psi* d_t phi - (d_t psi*) phi).
 Every spectral sum of the wavefunction's form (wavefunctions, gridded
 wavefunctions, slice profiles, the lattice propagator) goes through one
 kernel, `_synthesize`.  It sums only over the smallest index window holding
-every |a_j| > 1e-16 max|a|, and it takes the (t, x) grid in blocks of at
-most 2^19 phase entries (8 MiB complex), so its working memory does not
-grow with the number of t or x points.  The equation-of-motion residual
-uses the same window.
+every |a_j| > 1e-16 max|a|, n sites.  An axis that is an arithmetic
+progression (np.linspace axes are) is split as v[a*B + b] = V_a + b*d, so
+the phase factors into one fused anchor exponential and two offset
+rotations,
+
+    exp(-i E t + i p x) = exp(-i (E T_alpha - p X_a)) exp(-i E beta dt) exp(i p b dx),
+
+where offset 0 needs no exponential.  With B_t = ceil(sqrt(N_t)) and
+B_x = ceil(sqrt(N_t N_x)) (at most N_x), a call takes
+n (A_t A_x + B_t + B_x - 2) complex exponentials instead of n (N_t + N_x):
+about 2 sqrt(N) n for a 1xN line and n for a single point.  The N_t N_x n
+multiply-adds run as complex GEMMs with rows (t, X_a) and columns b.  The
+split evaluates the phase at V_a + b*d, which the progression test holds
+within 4 ulps of max|v| of the requested point; the direct sum already
+rounds p*x to within half an ulp of p*x, so both make phase errors of the
+same order, |p| ulp(max|x|) (and |E| ulp(max|t|) in time).  Any other axis
+is its own anchors with the single offset 0.  A GEMM tile holds at most
+2^19 phase entries (8 MiB complex), so working memory does not grow with
+the number of t or x points.  The equation-of-motion residual uses the same
+window and rotates its nine stencil samples from one cos/sin row per probe.
 
 Boosts act as exact index shifts when the rapidity is a lattice multiple of
 the grid step (amplitudes a'(theta) = a(theta + alpha), support transported
@@ -48,8 +64,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .kinematics import SpacetimePoint, check_mass
 
@@ -402,6 +416,9 @@ def from_spacetime_function(
 
 _WINDOW_CUT = 1e-16  # relative amplitude below which sites leave spectral sums
 _BLOCK_ENTRIES = 1 << 19  # phase entries per block of a spectral sum (8 MiB complex)
+# an axis counts as an arithmetic progression when anchors plus offsets
+# rebuild it within this many ulps of its largest |value|
+_PROGRESSION_ULPS = 4
 
 
 def _window(state: RapidityState) -> slice:
@@ -414,29 +431,78 @@ def _window(state: RapidityState) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
+def _ceil_sqrt(n: int) -> int:
+    return math.isqrt(n - 1) + 1
+
+
+def _split_axis(v: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anchors v[::B] and offsets b*d (b < B) with v[a*B + b] = anchors[a] + offsets[b].
+
+    B = size when the anchors plus offsets rebuild v to within
+    _PROGRESSION_ULPS ulps of max |v|; any other axis (or size 1) is its own
+    anchors with the single offset 0.
+    """
+    if size > 1:
+        offsets = (v[-1] - v[0]) / (v.size - 1) * np.arange(size)
+        anchors = v[::size]
+        rebuilt = (anchors[:, None] + offsets).reshape(-1)[: v.size]
+        tol = _PROGRESSION_ULPS * np.spacing(np.max(np.abs(v)))
+        if np.max(np.abs(rebuilt - v)) <= tol:  # False for non-finite axes
+            return anchors, offsets
+    return v, np.zeros(1)
+
+
+def _offset_phases(offsets: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """exp(i offsets[b] k_j) as rows b; offsets[0] = 0 takes no exponential."""
+    phases = np.ones((offsets.size, k.size), dtype=complex)
+    phases[1:] = np.exp(1j * np.outer(offsets[1:], k))
+    return phases
+
+
 def _synthesize(
     state: RapidityState, coeffs: np.ndarray, ts: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
     """sum_j c_j exp(-i E_j t + i p_j x) on the outer grid (len(ts), len(xs)).
 
-    The sum runs over the amplitude window of `state` only, and ts and xs are
-    taken in blocks of at most _BLOCK_ENTRIES phase entries, so working
-    memory does not grow with len(ts) or len(xs).
+    The sum runs over the amplitude window of `state` only, with each axis
+    split by `_split_axis` into anchors and offsets as the module docstring
+    describes: rows (t, X) times offset columns b make one complex GEMM per
+    tile of at most _BLOCK_ENTRIES phase entries.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     out = np.zeros((ts.size, xs.size), dtype=complex)
     win = _window(state)
     n = win.stop - win.start
-    if n == 0:
+    if n == 0 or out.size == 0:
         return out
-    e, p, c = state.energies[win], state.momenta[win], coeffs[win]
+    th = state.grid.thetas[win]
+    e, p = state.mass * np.cosh(th), state.mass * np.sinh(th)
     block = max(1, _BLOCK_ENTRIES // n)
-    for i in range(0, ts.size, block):
-        left = np.exp(-1j * np.outer(ts[i : i + block], e)) * c
-        for k in range(0, xs.size, block):
-            right = np.exp(1j * np.outer(p, xs[k : k + block]))
-            out[i : i + block, k : k + block] = left @ right
+    # every x anchor adds a row per t while x offsets are shared columns, so
+    # B_x = sqrt(N_t N_x) balances row products against column exponentials
+    t_anchors, t_offsets = _split_axis(ts, min(_ceil_sqrt(ts.size), block))
+    x_anchors, x_offsets = _split_axis(
+        xs, min(_ceil_sqrt(ts.size * xs.size), xs.size, block)
+    )
+    bt, bx = t_offsets.size, x_offsets.size
+    c_rows = _offset_phases(-t_offsets, e) * coeffs[win]
+    columns = _offset_phases(x_offsets, p).T
+    # a tile takes gt t anchors (gt*bt times) and gx x anchors: <= block rows
+    gx = min(x_anchors.size, block // bt)
+    gt = max(1, block // (bt * gx))
+    for i in range(0, t_anchors.size, gt):
+        t_phase = t_anchors[i : i + gt, None, None] * e
+        rows = slice(i * bt, (i + gt) * bt)
+        for k in range(0, x_anchors.size, gx):
+            # the one fused exponential per (T, X) anchor pair and site
+            anchors = np.exp(1j * (x_anchors[k : k + gx, None] * p - t_phase))
+            left = anchors[:, None] * c_rows[:, None]  # (T, beta, X, site)
+            tile = left.reshape(-1, n) @ columns
+            dest = out[rows, k * bx : (k + gx) * bx]
+            dest[...] = tile.reshape(-1, anchors.shape[1] * bx)[
+                : dest.shape[0], : dest.shape[1]
+            ]
     return out
 
 
@@ -500,6 +566,8 @@ def _timelike_halfline(z: float) -> complex:
         -i integral_0^{pi/2} exp(-i z cos y) dy
         + integral_0^inf exp(-z w) / sqrt(1 + w^2) dw.
     """
+    from scipy.integrate import quad  # scipy loads only where quadrature runs
+
     re1 = quad(lambda y: math.cos(z * math.cos(y)), 0.0, math.pi / 2, limit=400)[0]
     im1 = quad(lambda y: -math.sin(z * math.cos(y)), 0.0, math.pi / 2, limit=400)[0]
     tail = quad(
@@ -514,6 +582,8 @@ def _spacelike_halfline(z: float) -> float:
     Substituting v = cosh u = 1 + w^2 removes the endpoint singularity:
         2 exp(-z) integral_0^inf exp(-z w^2) / sqrt(w^2 + 2) dw.
     """
+    from scipy.integrate import quad
+
     val = quad(
         lambda w: math.exp(-z * w * w) / math.sqrt(w * w + 2.0), 0.0, np.inf, limit=400
     )[0]
@@ -639,6 +709,8 @@ def boost_state(state: RapidityState, alpha: float) -> RapidityState:
             if -kr < grid.count:
                 new[-kr:] = a[: grid.count + kr]
     else:
+        from scipy.interpolate import CubicSpline
+
         th = grid.thetas
         target = th + alpha
         re = CubicSpline(th, a.real, extrapolate=False)(target)
@@ -711,21 +783,40 @@ def kg_equation_residual(
     th = state.grid.thetas[win].astype(ld)
     e = ld(state.mass) * np.cosh(th)
     p = ld(state.mass) * np.sinh(th)
-    minus_e2 = -(e * e)
     w = state.grid.weights[win].astype(ld)
     wa_re = w * state.amplitudes[win].real.astype(ld)
     wa_im = w * state.amplitudes[win].imag.astype(ld)
     fd_scale = 5040 * ld(delta) ** 2
+    # the stencil samples psi at the doubles t + k*delta, k = -4..4; write each
+    # as t + k*delta_ld + r, where k*delta_ld is exact in longdouble and the
+    # rounding remainder r is too (up to longdouble rounding when |t| is far
+    # below delta).  Every probe then shares the rotations exp(-i E k delta)
+    # and keeps one cos/sin row of its own, with
+    # exp(-i E r) = 1 - i E r - (E r)^2/2 + O((E r)^3) and |E r| ~ 1e-16 |E t|
+    ks = range(-4, 5)
+    steps = np.array(ks) * ld(delta)
+    rot = -np.outer(steps, e)
+    rot_re, rot_im = np.cos(rot), np.sin(rot)
+    powers = (1, e, e * e)
     worst = 0.0
     for pt in points:
         t, x = pt
-        stencil_ts = np.array([t + k * delta for k in range(-4, 5)]).astype(ld)
-        arg = -(np.outer(stencil_ts, e) - p * ld(x))
-        re, im = np.cos(arg), np.sin(arg)
+        r = np.array([t + k * delta for k in ks], dtype=ld) - ld(t) - steps
+        arg = -(e * ld(t) - p * ld(x))
+        cos, sin = np.cos(arg), np.sin(arg)
+        b_re = cos * wa_re - sin * wa_im
+        b_im = cos * wa_im + sin * wa_re
         # one row of terms per stencil sample; row 4 is the probe itself
-        real = re * wa_re - im * wa_im
-        imag = re * wa_im + im * wa_re
-        d_re = _FD8 @ real.sum(axis=1) / fd_scale - np.sum(minus_e2 * real[4])
-        d_im = _FD8 @ imag.sum(axis=1) / fd_scale - np.sum(minus_e2 * imag[4])
+        terms_re = b_re * rot_re - b_im * rot_im
+        terms_im = b_re * rot_im + b_im * rot_re
+        # pairwise sums over the sites of E^0, E^1 and E^2 times the terms
+        (s0_re, s1_re, s2_re), (s0_im, s1_im, s2_im) = (
+            [(terms * f).sum(axis=1) for f in powers] for terms in (terms_re, terms_im)
+        )
+        sample_re = s0_re + r * s1_im - r * r / 2 * s2_re
+        sample_im = s0_im - r * s1_re - r * r / 2 * s2_im
+        # path 2 is -sum E^2 (terms of row 4), whose remainder r is 0
+        d_re = _FD8 @ sample_re / fd_scale + s2_re[4]
+        d_im = _FD8 @ sample_im / fd_scale + s2_im[4]
         worst = max(worst, math.hypot(float(d_re), float(d_im)))
     return worst

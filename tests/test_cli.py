@@ -335,6 +335,9 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
         ("time-dilation", "dt=NaN", "dt must be finite, got nan"),
         ("length-contraction", "tb=[0.6]", "tb needs a list of 2 values"),
         ("coordinate-transform", "owner=1", "owner must be a string, got 1"),
+        ("time-dilation", "dt=-1", "t2 must exceed t1 (given dt=-1.0)"),
+        ("propagator-table", "m=-1", "mass must be positive, got -1.0 (given m=-1.0)"),
+        ("nonrel-interference", "sx=0", "packet widths must be positive (given sx=0.0)"),
     ],
 )
 def test_run_rejects_bad_values_naming_the_key(

@@ -247,6 +247,49 @@ def test_wavefunction_grid_blocks_over_a_full_support_state(grid):
     assert np.max(np.abs(table - dense)) < 1e-13 * float(np.sum(np.abs(coeffs)))
 
 
+def test_wavefunction_grid_splits_evenly_spaced_axes(grid):
+    # the full-support state of the test above on np.linspace axes, which
+    # the kernel splits into anchors and offsets
+    rng = np.random.default_rng(25)
+    a = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
+    s = RapidityState(grid, 0.01, a)
+    coeffs = s.weights * s.amplitudes
+    scale = float(np.sum(np.abs(coeffs)))
+    block = states._BLOCK_ENTRIES // grid.count
+    ts = np.linspace(-50.0, 50.0, 2 * block + 37)
+    xs = np.linspace(-50.0, 50.0, 2 * block + 5)
+    assert states._split_axis(ts, 18)[1].size == 18
+    assert states._split_axis(xs, block)[1].size == block
+    bumped = np.linspace(-40.0, 30.0, 151)
+    bumped[75] += 8 * states._PROGRESSION_ULPS * np.spacing(40.0)
+    assert states._split_axis(bumped, 13)[1].size == 1
+    cases = [
+        (ts, xs),
+        (np.linspace(3.0, -4.0, 40), np.linspace(20.0, -30.0, 301)),  # descending
+        (np.full(5, 0.7), np.linspace(-2.0, 2.0, 9)),  # constant t
+        (np.linspace(-1.0, 1.0, 7), np.full(6, -1.3)),  # constant x
+        (np.linspace(-2.0, 1.0, 3), bumped),
+    ] + [
+        (np.linspace(-1.0, 2.0, nt), np.linspace(-3.0, 5.0, nx))
+        for nt in range(1, 5)
+        for nx in range(1, 5)
+    ]
+    for ts, xs in cases:
+        table = wavefunction_grid(s, ts, xs)
+        assert table.shape == (ts.size, xs.size)
+        assert np.max(np.abs(table - _dense_sum(s, coeffs, ts, xs))) < 1e-13 * scale
+
+
+def test_wavefunction_grid_long_line_at_sampled_points(grid):
+    s = normalize(from_spacetime_function(Slice(0.3, GaussianProfile(0.2, 0.05)), 1.0, grid))
+    xs = np.linspace(-2.5, 2.5, 20001)
+    line = wavefunction_grid(s, [0.3], xs)[0]
+    spots = np.random.default_rng(26).integers(0, xs.size, size=40)
+    coeffs = s.weights * s.amplitudes
+    dense = _dense_sum(s, coeffs, [0.3], xs[spots])[0]
+    assert np.max(np.abs(line[spots] - dense)) < 1e-13 * float(np.sum(np.abs(coeffs)))
+
+
 def test_synthesis_of_single_site_and_empty_states(grid):
     ts = np.array([-0.4, 0.0, 1.7])
     xs = np.array([-2.0, 0.3, 0.9, 5.0])
