@@ -30,12 +30,8 @@ from .coordinates import (
     EventCoordinate,
     JointCoordinateState,
     VelocityBranch,
-    controlled_boost,
     distance_expectation,
-    momentum_of_velocity,
-    parity_swap,
     transform_frame,
-    velocity_of_momentum,
 )
 from .frames import (
     BranchedFrameState,

@@ -1,11 +1,12 @@
 """Exact quantum-controlled Lorentz transformations of event coordinates.
 
 This is the kinematic counterpart of the wave-packet frame changes: events
-are exact coordinate labels (t, x), laboratories are superpositions of
-velocity branches, and a frame change is the controlled boost
-(each branch boosted by -atanh(v) of its own velocity) followed by the
-parity swap v -> -v that re-labels who is at rest.  Everything here is
-closed-form 2x2 matrix algebra per branch; no discretization enters.
+are exact `kinematics.SpacetimePoint` labels (t, x), laboratories are
+superpositions of velocity branches, and a frame change is one pass over the
+branches that boosts each branch's events by -atanh(v) of its own velocity,
+flips v -> -v and hands the laboratory to the system that was at rest.
+Everything here is closed-form 2x2 matrix algebra per branch; no
+discretization enters.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, replace
 
 from .kinematics import (
     Interval,
+    SpacetimePoint,
     boost_point,
-    check_mass,
     invariant_interval,
     rapidity_of_velocity,
 )
@@ -25,30 +26,14 @@ __all__ = [
     "EventCoordinate",
     "VelocityBranch",
     "JointCoordinateState",
-    "parity_swap",
-    "controlled_boost",
     "transform_frame",
     "distance_expectation",
-    "velocity_of_momentum",
-    "momentum_of_velocity",
     "state_to_dict",
     "state_from_dict",
 ]
 
-
-@dataclass(frozen=True)
-class EventCoordinate:
-    """An event pinned to exact coordinates (no spread, no dynamics)."""
-
-    t: float
-    x: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and math.isfinite(self.x)):
-            raise ValueError("event coordinates must be finite")
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.t, self.x)
+# an event pinned to exact coordinates (no spread, no dynamics)
+EventCoordinate = SpacetimePoint
 
 
 @dataclass(frozen=True)
@@ -89,44 +74,26 @@ class JointCoordinateState:
         return len(self.events[0])
 
 
-def parity_swap(
+def transform_frame(
     state: JointCoordinateState, from_label: str, to_label: str
 ) -> JointCoordinateState:
-    """Flip every branch velocity and hand the laboratory to the other system.
+    """The frame change from `from_label`'s laboratory to `to_label`'s.
 
-    Applying the swap twice restores the input exactly.
+    Each branch's events are boosted by -atanh(v) of that branch's velocity
+    and its velocity flips to -v.  Branch amplitudes are untouched, and two
+    opposite transforms restore the velocities exactly and the events up to
+    floating-point roundoff.
     """
     if state.lab_owner != from_label:
         raise ValueError(
             f"state describes the lab of {state.lab_owner!r}, not {from_label!r}"
         )
-    return replace(
-        state,
-        lab_owner=to_label,
-        lab=tuple(replace(b, v=-b.v) for b in state.lab),
-    )
-
-
-def controlled_boost(state: JointCoordinateState) -> JointCoordinateState:
-    """Boost each branch's events by -atanh(v) of that branch's velocity."""
-    new_rows = []
+    lab, events = [], []
     for branch, row in zip(state.lab, state.events):
         alpha = -rapidity_of_velocity(branch.v)
-        new_rows.append(
-            tuple(EventCoordinate(*boost_point(alpha, ev.as_tuple())) for ev in row)
-        )
-    return replace(state, events=tuple(new_rows))
-
-
-def transform_frame(
-    state: JointCoordinateState, from_label: str, to_label: str
-) -> JointCoordinateState:
-    """Controlled boost followed by parity swap: the full frame change.
-
-    Branch amplitudes are untouched; two opposite transforms compose to the
-    identity up to floating-point roundoff.
-    """
-    return parity_swap(controlled_boost(state), from_label, to_label)
+        lab.append(replace(branch, v=-branch.v))
+        events.append(tuple(boost_point(alpha, ev) for ev in row))
+    return JointCoordinateState(to_label, tuple(lab), tuple(events))
 
 
 def distance_expectation(
@@ -139,25 +106,7 @@ def distance_expectation(
     are boosted coherently, the reported value is branch-independent for
     shared input events and unchanged by transform_frame.
     """
-    out = []
-    for row in state.events:
-        out.append(invariant_interval(row[i].as_tuple(), row[j].as_tuple()))
-    return out
-
-
-def velocity_of_momentum(p: float, m: float) -> float:
-    """v = (p/m)/sqrt(1 + (p/m)^2), the velocity of a momentum-p particle."""
-    check_mass(m)
-    r = p / m
-    return r / math.sqrt(1.0 + r * r)
-
-
-def momentum_of_velocity(v: float, m: float) -> float:
-    """p = m v / sqrt(1 - v^2), inverse of velocity_of_momentum."""
-    check_mass(m)
-    if not (math.isfinite(v) and abs(v) < 1.0):
-        raise ValueError(f"|v| < 1 required, got {v}")
-    return m * v / math.sqrt(1.0 - v * v)
+    return [invariant_interval(row[i], row[j]) for row in state.events]
 
 
 def state_to_dict(state: JointCoordinateState) -> dict:

@@ -273,32 +273,29 @@ def superposed_slice_state(
     branch_mass: float = 1.0,
     payload_mass: float = 1.0,
     grid: RapidityGrid | None = None,
-    frame_label: str = "C",
-    branch_label: str = "A",
-    payload_label: str = "B",
 ) -> BranchedFrameState:
     """Jumped description of 'slice payload + frame in superposed boosts'.
 
-    Starting description (relative to `frame_label`): the system
-    `branch_label` is sharp in each rapidity branch, the payload is prepared
-    on the equal-time surface t = payload_time with the given spatial
-    profile, and the sharp system carries a Dirac time profile at
-    frame_time.  The returned state is the same physics relative to
-    `branch_label`: branch rapidities reversed, payloads boosted to tilted
-    slices, branch phases exp(i m cosh(omega_i) frame_time).
+    Starting description (relative to the frame "C"): the system "A" is
+    sharp in each rapidity branch, the payload "B" is prepared on the
+    equal-time surface t = payload_time with the given spatial profile, and
+    the sharp system carries a Dirac time profile at frame_time.  The
+    returned state is the same physics relative to "A": branch rapidities
+    reversed, payloads boosted to tilted slices, branch phases
+    exp(i m cosh(omega_i) frame_time).
     """
     grid = grid or RapidityGrid.default()
     payload = from_spacetime_function(Slice(payload_time, profile), payload_mass, grid)
     start = BranchedFrameState(
-        frame=frame_label,
+        frame="C",
         frame_mass=frame_mass,
-        branch_system=branch_label,
+        branch_system="A",
         branches=tuple(SharpBranch(om, amp, branch_mass) for om, amp in branches),
-        payload_labels=(payload_label,),
+        payload_labels=("B",),
         payloads=tuple((payload,) for _ in branches),
         time_profile=DeltaTime(frame_time),
     )
-    return change_frame(start, frame_label, branch_label)
+    return change_frame(start, "C", "A")
 
 
 # ---------------------------------------------------------------------------

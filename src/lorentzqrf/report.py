@@ -72,15 +72,12 @@ def canonical_json(obj) -> str:
     return _emit(obj)
 
 
-def build_report(body: dict, config: dict | None = None, stamp: bool = True) -> dict:
+def build_report(body: dict, config: dict | None = None) -> dict:
     """Top-level report payload: body plus config echo and a timestamp."""
     payload = dict(body)
     if config is not None:
         payload["config"] = config
-    if stamp:
-        payload[TIMESTAMP_FIELD] = (
-            datetime.datetime.now(datetime.timezone.utc).isoformat()
-        )
+    payload[TIMESTAMP_FIELD] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return payload
 
 

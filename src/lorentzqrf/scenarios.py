@@ -155,16 +155,15 @@ def gaussian_fit(
     ys: np.ndarray,
     center_guess: float,
     sigma_guess: float,
-    window: float = 5.0,
 ) -> FitResult:
     """Weighted least-squares Gaussian fit of ys ~ A exp(-(x-c)^2 / 2 s^2).
 
-    Points outside center_guess +- window*sigma_guess are ignored.  Raises
+    Points outside center_guess +- 5 sigma_guess are ignored.  Raises
     FitError when the optimizer fails or the windowed data are degenerate.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    mask = np.abs(xs - center_guess) <= window * sigma_guess
+    mask = np.abs(xs - center_guess) <= 5.0 * sigma_guess
     x, y = xs[mask], ys[mask]
     if x.size < 8 or not np.any(y > 0.0):
         raise FitError(
@@ -243,7 +242,11 @@ def ridge_fit(state: RapidityState, slope_guess: float, intercept_guess: float):
 
 @dataclass(frozen=True)
 class DilationScenario:
-    """Two events on one worldline, watched from a superposed boosted frame."""
+    """Two events on one worldline, watched from a superposed boosted frame.
+
+    The intervals hold to the fixed relative tolerance 1e-12 in
+    "exact-event" mode and 1e-2 in "narrow-gaussian" mode.
+    """
 
     t1: float = 0.0
     t2: float = 1.0
@@ -253,7 +256,6 @@ class DilationScenario:
     mode: str = "exact-event"
     sigma: float = 0.02
     mass: float = 50.0
-    tolerance: float | None = None
     grid: RapidityGrid | None = None
 
     def __post_init__(self) -> None:
@@ -272,14 +274,15 @@ class DilationScenario:
         return (self.omega1, self.omega2)
 
     @property
-    def default_tolerance(self) -> float:
+    def tolerance(self) -> float:
         return 1e-12 if self.mode == "exact-event" else 1e-2
 
 
 def _dilation_packet_interval(
     scn: DilationScenario, omega: float, grid: RapidityGrid
-) -> tuple[float, dict]:
-    """Fitted time separation of two boosted event markers in one branch."""
+) -> tuple[float, dict, list[str]]:
+    """Fitted time separation of two boosted event markers in one branch,
+    their scans, and the boosted markers' notes."""
     ch, sh = math.cosh(omega), math.sinh(omega)
     scan_width = max(2.0 * scn.mass * scn.sigma**2, scn.sigma) * (ch + abs(sh))
     if ch * (scn.t2 - scn.t1) < 4.0 * scan_width:
@@ -290,6 +293,7 @@ def _dilation_packet_interval(
         )
     centers = []
     scans = {}
+    notes = []
     for tj in (scn.t1, scn.t2):
         marker = from_spacetime_function(
             Gaussian2D(tj, scn.x0, scn.sigma, scn.sigma, energy=scn.mass),
@@ -297,6 +301,7 @@ def _dilation_packet_interval(
             grid,
         )
         branch_state = boost_state(marker, -omega)
+        notes.extend(branch_state.notes)
         t_pred = ch * tj + sh * scn.x0
         x_line = sh * tj + ch * scn.x0
         ts = np.linspace(t_pred - 5 * scan_width, t_pred + 5 * scan_width, 121)
@@ -309,7 +314,7 @@ def _dilation_packet_interval(
             "fit_center": fit.center,
             "x_line": x_line,
         }
-    return centers[1] - centers[0], scans
+    return centers[1] - centers[0], scans, notes
 
 
 def run_time_dilation(scn: DilationScenario) -> ScenarioReport:
@@ -320,11 +325,11 @@ def run_time_dilation(scn: DilationScenario) -> ScenarioReport:
     positions extracted by Gaussian fits of |psi|^2 along the t scan through
     each boosted event.
     """
-    tol = scn.tolerance if scn.tolerance is not None else scn.default_tolerance
     dt = scn.t2 - scn.t1
     checks = []
     details: dict = {"dt": dt, "mode": scn.mode}
     grids: dict = {}
+    warnings = []
     if scn.mode == "exact-event":
         for omega in scn.omegas:
             mapped = [
@@ -337,7 +342,7 @@ def run_time_dilation(scn: DilationScenario) -> ScenarioReport:
                     parameter=omega,
                     predicted=math.cosh(omega) * dt,
                     measured=measured,
-                    tolerance=tol,
+                    tolerance=scn.tolerance,
                     path="exact-coordinate",
                 )
             )
@@ -347,23 +352,25 @@ def run_time_dilation(scn: DilationScenario) -> ScenarioReport:
     else:
         grid = scn.grid or RapidityGrid.default()
         for omega in scn.omegas:
-            measured, scans = _dilation_packet_interval(scn, omega, grid)
+            measured, scans, notes = _dilation_packet_interval(scn, omega, grid)
             checks.append(
                 BranchCheck(
                     label=f"omega={omega:g}",
                     parameter=omega,
                     predicted=math.cosh(omega) * dt,
                     measured=measured,
-                    tolerance=tol,
+                    tolerance=scn.tolerance,
                     path="wave-packet",
                 )
             )
             grids[f"omega={omega:g}"] = scans
+            warnings.extend(f"branch omega={omega:g}: {note}" for note in notes)
         details["sigma"] = scn.sigma
         details["mass"] = scn.mass
     return ScenarioReport(
         scenario="time-dilation",
         branches=tuple(checks),
+        warnings=tuple(warnings),
         details=details,
         grids=grids,
     )
@@ -380,8 +387,11 @@ class ContractionScenario:
     The pair times must satisfy the simultaneity conditions
     dt_B = v_b dx and dt_D = v_d dx so that each pair is simultaneous in
     its own branch after the frame change.  Omitted times default to
-    t_j = v x_j, which satisfies the condition exactly.
+    t_j = v x_j, which satisfies the condition exactly.  Lengths and time
+    offsets hold to the fixed tolerance 1e-12.
     """
+
+    tolerance = 1e-12
 
     x1: float = 0.0
     x2: float = 1.0
@@ -389,7 +399,6 @@ class ContractionScenario:
     v_d: float = 0.8
     t_b: tuple[float, float] | None = None
     t_d: tuple[float, float] | None = None
-    tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         for v in (self.v_b, self.v_d):
@@ -479,13 +488,14 @@ class WidthScenario:
 
     The sigma/cosh(omega) width law is the sharp-localization limit
     (mass*sigma >> 1); the default payload mass keeps the subleading
-    momentum-shell correction well inside the 1% tolerance.
+    momentum-shell correction well inside the fixed 1% relative tolerance.
     """
+
+    tolerance = 1e-2
 
     sigma: float = 1.0
     omegas: tuple[float, ...] = (0.0, math.log(2.0), math.atanh(0.8))
     mass: float = 5.0
-    tolerance: float = 1e-2
     grid: RapidityGrid | None = None
 
     def __post_init__(self) -> None:
@@ -535,8 +545,7 @@ def run_width_contraction(scn: WidthScenario) -> ScenarioReport:
             warnings.append(
                 f"branch omega={omega:g}: gaussian fit residual {fit.residual:.3g}"
             )
-        for note in pay.notes:
-            warnings.append(f"branch omega={omega:g}: {note}")
+        warnings.extend(f"branch omega={omega:g}: {note}" for note in pay.notes)
     return ScenarioReport(
         scenario="width-contraction",
         branches=tuple(checks),
@@ -558,7 +567,12 @@ def run_width_contraction(scn: WidthScenario) -> ScenarioReport:
 
 @dataclass(frozen=True)
 class SliceScenario:
-    """Equal-time slice payload jumped into a superposition of tilted slices."""
+    """Equal-time slice payload jumped into a superposition of tilted slices.
+
+    Slopes and intercepts hold to the fixed tolerance 1e-9.
+    """
+
+    tolerance = 1e-9
 
     sigma: float = 1.0
     payload_time: float = 0.4
@@ -567,7 +581,6 @@ class SliceScenario:
     payload_mass: float = 1.0
     frame_mass: float = 1.0
     branch_mass: float = 1.0
-    tolerance: float = 1e-9
     grid: RapidityGrid | None = None
 
     def __post_init__(self) -> None:
@@ -602,6 +615,7 @@ def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
     state = slice_scenario_state(scn)
     checks = []
     grids: dict = {}
+    warnings = []
     for branch, (pay,) in zip(state.branches, state.payloads):
         omega = -branch.rapidity
         slope_pred = math.tanh(omega)
@@ -633,9 +647,11 @@ def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
             "x": xs.tolist(),
             "ridge_t": (intercept + slope * xs).tolist(),
         }
+        warnings.extend(f"branch omega={omega:g}: {note}" for note in pay.notes)
     return ScenarioReport(
         scenario="superposed-slice",
         branches=tuple(checks),
+        warnings=tuple(warnings),
         details={
             "sigma": scn.sigma,
             "payload_time": scn.payload_time,
@@ -658,12 +674,14 @@ class BoostSuperpositionScenario:
 
     The default packet is wide enough in space that its rapidity spread
     1/(sigma*mass) resolves the two branch humps in the momentum density.
+    Peaks and velocities hold to the fixed tolerance 1e-9.
     """
+
+    tolerance = 1e-9
 
     sigma: float = 2.5
     omegas: tuple[float, ...] = (-0.35, 0.6)
     mass: float = 1.0
-    tolerance: float = 1e-9
     grid: RapidityGrid | None = None
 
     def __post_init__(self) -> None:
@@ -684,6 +702,7 @@ def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
     checks = []
     total = np.zeros(grid.count, dtype=complex)
     densities = {}
+    warnings = []
     for omega in scn.omegas:
         comp = boost_state(rest, -omega)
         total += amp * comp.amplitudes
@@ -709,9 +728,11 @@ def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
             )
         )
         densities[f"omega={omega:g}"] = (np.abs(comp.amplitudes) ** 2 / 2.0).tolist()
+        warnings.extend(f"branch omega={omega:g}: {note}" for note in comp.notes)
     return ScenarioReport(
         scenario="superposition-of-boosts",
         branches=tuple(checks),
+        warnings=tuple(warnings),
         details={"sigma": scn.sigma, "mass": scn.mass},
         grids={
             "theta": grid.thetas.tolist(),

@@ -23,10 +23,10 @@ equals (i/2pi) integral dx (psi* d_t phi - (d_t psi*) phi).
 Every spectral sum of the wavefunction's form (wavefunctions, gridded
 wavefunctions, slice profiles, the lattice propagator) goes through one
 kernel, `_synthesize`.  It sums only over the smallest index window holding
-every |a_j| > 1e-16 max|a|, n sites.  An axis that is an arithmetic
-progression (np.linspace axes are) is split as v[a*B + b] = V_a + b*d, so
-the phase factors into one fused anchor exponential and two offset
-rotations,
+every |a_j| > 1e-16 max|a|, n sites (`RapidityState.window`, found once per
+state).  An axis that is an arithmetic progression (np.linspace axes are)
+is split as v[a*B + b] = V_a + b*d, so the phase factors into one fused
+anchor exponential and two offset rotations,
 
     exp(-i E t + i p x) = exp(-i (E T_alpha - p X_a)) exp(-i E beta dt) exp(i p b dx),
 
@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -323,6 +323,8 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # states
 
+_WINDOW_CUT = 1e-16  # relative amplitude below which sites leave spectral sums
+
 
 @dataclass(frozen=True, eq=False)
 class RapidityState:
@@ -366,6 +368,17 @@ class RapidityState:
     @property
     def momenta(self) -> np.ndarray:
         return self.mass * np.sinh(self.grid.thetas)
+
+    @cached_property
+    def window(self) -> slice:
+        """Smallest index range holding every |a_j| > _WINDOW_CUT * max |a|:
+        the sites spectral sums run over."""
+        mag = np.abs(self.amplitudes)
+        peak = float(np.max(mag))
+        if peak == 0.0:
+            return slice(0, 0)
+        idx = np.flatnonzero(mag > _WINDOW_CUT * peak)
+        return slice(int(idx[0]), int(idx[-1]) + 1)
 
     def with_amplitudes(
         self, amplitudes: np.ndarray, extra_notes: tuple[str, ...] = ()
@@ -414,21 +427,10 @@ def from_spacetime_function(
     return RapidityState(grid, mass, a, proper=proper, notes=notes)
 
 
-_WINDOW_CUT = 1e-16  # relative amplitude below which sites leave spectral sums
 _BLOCK_ENTRIES = 1 << 19  # phase entries per block of a spectral sum (8 MiB complex)
 # an axis counts as an arithmetic progression when anchors plus offsets
 # rebuild it within this many ulps of its largest |value|
 _PROGRESSION_ULPS = 4
-
-
-def _window(state: RapidityState) -> slice:
-    """Smallest index range holding every |a_j| > _WINDOW_CUT * max |a|."""
-    mag = np.abs(state.amplitudes)
-    peak = float(np.max(mag))
-    if peak == 0.0:
-        return slice(0, 0)
-    idx = np.flatnonzero(mag > _WINDOW_CUT * peak)
-    return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -464,15 +466,16 @@ def _synthesize(
 ) -> np.ndarray:
     """sum_j c_j exp(-i E_j t + i p_j x) on the outer grid (len(ts), len(xs)).
 
-    The sum runs over the amplitude window of `state` only, with each axis
-    split by `_split_axis` into anchors and offsets as the module docstring
-    describes: rows (t, X) times offset columns b make one complex GEMM per
-    tile of at most _BLOCK_ENTRIES phase entries.
+    The sum runs over `state.window` only, and `coeffs` holds one c_j per
+    window site.  Each axis is split by `_split_axis` into anchors and
+    offsets as the module docstring describes: rows (t, X) times offset
+    columns b make one complex GEMM per tile of at most _BLOCK_ENTRIES phase
+    entries.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     out = np.zeros((ts.size, xs.size), dtype=complex)
-    win = _window(state)
+    win = state.window
     n = win.stop - win.start
     if n == 0 or out.size == 0:
         return out
@@ -486,7 +489,7 @@ def _synthesize(
         xs, min(_ceil_sqrt(ts.size * xs.size), xs.size, block)
     )
     bt, bx = t_offsets.size, x_offsets.size
-    c_rows = _offset_phases(-t_offsets, e) * coeffs[win]
+    c_rows = _offset_phases(-t_offsets, e) * coeffs
     columns = _offset_phases(x_offsets, p).T
     # a tile takes gt t anchors (gt*bt times) and gx x anchors: <= block rows
     gx = min(x_anchors.size, block // bt)
@@ -511,14 +514,17 @@ def wavefunction(
 ) -> complex:
     """psi(t, x) = sum_j w_j exp(-i E_j t + i p_j x) a_j."""
     t, x = point
-    return complex(_synthesize(state, state.weights * state.amplitudes, [t], [x])[0, 0])
+    win = state.window
+    coeffs = state.weights[win] * state.amplitudes[win]
+    return complex(_synthesize(state, coeffs, [t], [x])[0, 0])
 
 
 def wavefunction_grid(
     state: RapidityState, ts: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
     """psi on the outer grid (len(ts), len(xs))."""
-    return _synthesize(state, state.weights * state.amplitudes, ts, xs)
+    win = state.window
+    return _synthesize(state, state.weights[win] * state.amplitudes[win], ts, xs)
 
 
 def slice_profile(state: RapidityState, t0: float, xs: np.ndarray) -> np.ndarray:
@@ -530,7 +536,9 @@ def slice_profile(state: RapidityState, t0: float, xs: np.ndarray) -> np.ndarray
     not the measure-weighted wavefunction <t0,x|f>.
     """
     # dp/2pi = E dtheta/2pi = E w/pi, since dtheta = 2 w
-    coeffs = state.energies * state.weights * state.amplitudes / math.pi
+    win = state.window
+    e = state.mass * np.cosh(state.thetas[win])
+    coeffs = e * state.weights[win] * state.amplitudes[win] / math.pi
     return _synthesize(state, coeffs, [t0], xs)[0]
 
 
@@ -779,7 +787,7 @@ def kg_equation_residual(
     # extended precision throughout: the answer is a small difference of
     # terms of size E^2 |psi|, where double rounding would dominate
     ld = np.longdouble
-    win = _window(state)
+    win = state.window
     th = state.grid.thetas[win].astype(ld)
     e = ld(state.mass) * np.cosh(th)
     p = ld(state.mass) * np.sinh(th)

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lorentzqrf import cli, plots, scenarios
 from lorentzqrf import report as reporting
@@ -52,6 +53,32 @@ def test_strip_timestamp_removes_only_timestamp():
     text = reporting.canonical_json(payload)
     stripped = reporting.strip_timestamp(text)
     assert stripped == '{"config":{"k":2},"x":1}'
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text(max_size=8), _json_values, max_size=6), st.text())
+def test_canonical_json_and_strip_timestamp_properties(body, stamp):
+    text = reporting.canonical_json(body)
+    # 17 significant digits read back exactly (-0.0 reads back as 0)
+    assert json.loads(text) == body
+    assert reporting.canonical_json(json.loads(text)) == text
+    stamped = reporting.canonical_json({**body, reporting.TIMESTAMP_FIELD: stamp})
+    unstamped = {k: v for k, v in body.items() if k != reporting.TIMESTAMP_FIELD}
+    assert reporting.strip_timestamp(stamped) == reporting.canonical_json(unstamped)
+    assert reporting.strip_timestamp(stamped.encode("ascii")) == reporting.strip_timestamp(
+        stamped
+    )
 
 
 def test_csv_lines_quoting_and_types():
@@ -484,6 +511,39 @@ def test_run_boosts_scalar_omega_coerced(tmp_path):
     assert code == 0
     payload = json.loads(_read_report(tmp_path / "report.json"))
     assert len(payload["branches"]) == 2  # peak + velocity checks of one branch
+
+
+@pytest.mark.parametrize(
+    "scenario, setting, code, warning",
+    [
+        (
+            "superposition-of-boosts",
+            "omegas=[-8.7,0.6]",
+            0,
+            "branch omega=-8.7: boosted support within 5% of the grid boundary",
+        ),
+        (
+            "superposed-slice",
+            "omegas=[0.25,8.9]",
+            2,
+            "branch omega=8.9: boosted support within 5% of the grid boundary",
+        ),
+        (
+            "time-dilation",
+            "mode=narrow-gaussian",
+            0,
+            "branch omega=0.693147: boost interpolation residual",
+        ),
+    ],
+)
+def test_run_forwards_state_notes_as_warnings(
+    tmp_path, capsys, scenario, setting, code, warning
+):
+    argv = ["run", "--scenario", scenario, "--set", setting, "--out", str(tmp_path)]
+    assert cli.main(argv) == code
+    payload = json.loads(_read_report(tmp_path / "report.json"))
+    assert any(w.startswith(warning) for w in payload["warnings"])
+    assert f"[warn] {warning}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
