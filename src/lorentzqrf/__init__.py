@@ -10,7 +10,8 @@ Layout:
 
 - `kinematics`: classical boosts, intervals, rapidity/velocity/momentum maps.
 - `states`: rapidity-grid states, preparation from spacetime functions,
-  boosts/translations/evolution, the positive-energy two-point function.
+  exact boosts (origin moves), resampling onto the grid, translations, the
+  positive-energy two-point function.
 - `measurement`: spacetime-region detection probabilities and momentum
   densities.
 - `frames`: branched reference-frame states, frame changes, and the exact
@@ -66,9 +67,7 @@ from .kinematics import (
 from .measurement import (
     ProbabilityReport,
     RegionPovm,
-    complement_probability,
     momentum_density,
-    momentum_density_at,
     region_probability,
 )
 from .scenarios import (
@@ -104,13 +103,13 @@ from .states import (
     Slice,
     TiltedSlice,
     boost_state,
-    evolve,
     from_spacetime_function,
     kg_equation_residual,
     kg_inner,
     kg_norm,
     normalize,
     propagator,
+    resample,
     slice_profile,
     translate,
     wavefunction,

@@ -56,6 +56,7 @@ from .states import (
     kg_inner,
     normalize,
     propagator,
+    resample,
 )
 
 __all__ = ["CriterionResult", "run_all", "results_payload"]
@@ -112,7 +113,7 @@ def criterion_1() -> CriterionResult:
     h = grid.step
     lattice_boosts = (h, -h, 8 * h, -8 * h, 64 * h, -64 * h)
     worst_lattice = 0.0
-    worst_interp = 0.0
+    worst_off_lattice = 0.0
     pairs = 0
     while pairs < 200:
         mass = rng.uniform(0.8, 2.0)
@@ -127,15 +128,16 @@ def criterion_1() -> CriterionResult:
             worst_lattice = max(worst_lattice, abs(moved - base) / abs(base))
         for alpha in rng.uniform(-2.0, 2.0, size=2):
             moved = kg_inner(boost_state(f, alpha), boost_state(g, alpha))
-            worst_interp = max(worst_interp, abs(moved - base) / abs(base))
-    passed = worst_lattice < 1e-12 and worst_interp < 1e-4
+            worst_off_lattice = max(worst_off_lattice, abs(moved - base) / abs(base))
+    passed = worst_lattice < 1e-12 and worst_off_lattice < 1e-4
     return CriterionResult(
         1,
         "inner-product boost invariance",
         passed,
         f"lattice dev {worst_lattice:.3e} (tol 1e-12), "
-        f"interpolated dev {worst_interp:.3e} (tol 1e-4), 200 pairs",
-        {"worst_lattice": worst_lattice, "worst_interpolated": worst_interp},
+        f"off-lattice dev {worst_off_lattice:.3e} (tol 1e-4), 200 pairs",
+        # perfbench's selftest workload reads the off-lattice leg under this key
+        {"worst_lattice": worst_lattice, "worst_interpolated": worst_off_lattice},
     )
 
 
@@ -300,12 +302,11 @@ def criterion_6() -> CriterionResult:
             abs(b1.amplitude - b0.amplitude),
         )
         for p0, p1 in zip(row0, row1):
-            worst_round = max(
-                worst_round, float(np.max(np.abs(p1.amplitudes - p0.amplitudes)))
-            )
+            dev = float(np.max(np.abs(p1.amplitudes - p0.amplitudes)))
+            worst_round = max(worst_round, abs(p1.origin - p0.origin), dev)
 
     # brute-force matrix oracle: every branchwise boost in both jumps must
-    # equal the explicit 8x8 shift matrix acting on the amplitude vector
+    # equal the explicit 8x8 shift matrix acting on the resampled amplitudes
     # (branches re-sort by rapidity, so match output rows by sign flip)
     worst_matrix = 0.0
     for state, out in ((start, jumped), (jumped, back)):
@@ -316,9 +317,10 @@ def criterion_6() -> CriterionResult:
             k = round(branch.rapidity / h)
             oracle = _shift_matrix(8, -k)
             for p0, p1 in zip(row0, rows_out[-k]):
+                moved = oracle @ resample(p0).amplitudes
                 worst_matrix = max(
                     worst_matrix,
-                    float(np.max(np.abs(p1.amplitudes - oracle @ p0.amplitudes))),
+                    float(np.max(np.abs(resample(p1).amplitudes - moved))),
                 )
 
     passed = drift < 1e-12 and worst_round < 1e-10 and worst_matrix < 1e-12
@@ -484,13 +486,28 @@ def criterion_8() -> CriterionResult:
 
 @lru_cache(maxsize=None)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+    """Read-only Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    Cached because leggauss costs seconds at the oracle's orders.
+    Newton iteration on P_n for all nodes at once, from Tricomi's initial
+    guesses, with P_n and P_n' from the three-term recurrence: O(n^2) work
+    where leggauss's eigenproblem is O(n^3).  Three sweeps converge.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
+    theta = math.pi * (4 * np.arange(n, 0, -1) - 1) / (4 * n + 2)
+    x = np.cos(theta) * (
+        1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)
+    )
+    for _ in range(10):
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes, weights = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0  # symmetric, as leggauss
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 

@@ -12,11 +12,13 @@ pointer states, so ||Psi||^2 = sum_i |c_i|^2 prod_k <ik|ik>.
 
 `change_frame` re-expresses the composite relative to the sharp system:
 branch rapidities flip sign, every payload is boosted by -omega_i in branch
-i, and, when the old sharp system carries a temporal wave profile g(t), each
-branch amplitude picks up the transfer factor g^(m cosh omega_i), where
-g^(E) = integral dt e^{iEt} g(t) and m is the sharp system's mass.  A Dirac
-profile at t0 contributes pure phases exp(i m cosh(omega_i) t0); a Gaussian
-profile damps fast branches and rescales the norm.
+i (exactly: only its rapidity origin moves, so a round trip from origin 0
+restores it bit for bit), and, when the old sharp system carries a temporal
+wave profile g(t), each branch amplitude picks up the transfer factor
+g^(m cosh omega_i), where g^(E) = integral dt e^{iEt} g(t) and m is the
+sharp system's mass.  A Dirac profile at t0 contributes pure phases
+exp(i m cosh(omega_i) t0); a Gaussian profile damps fast branches and
+rescales the norm.
 
 `transformed_evolution` applies, inside an already-jumped state, the pair of
 evolutions (frame particle by t_frame, payloads by t_payload as defined in
@@ -50,6 +52,7 @@ from .states import (
     boost_state,
     from_spacetime_function,
     kg_inner,
+    resample,
     translate,
 )
 
@@ -195,14 +198,17 @@ def branch_overlap_matrix(state: BranchedFrameState) -> np.ndarray:
 
     The composite factorizes into (sharp system) x (payloads) exactly when
     the normalized G has rank one, e.g. when all branches carry identical
-    payload states.
+    payload states.  A payload column whose branches sit on different
+    origins is resampled once per payload, not once per pair.
     """
     n = len(state.branches)
     g = np.ones((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(len(state.payload_labels)):
-                g[i, j] *= kg_inner(state.payloads[i][k], state.payloads[j][k])
+    for k in range(len(state.payload_labels)):
+        col = [row[k] for row in state.payloads]
+        if len({p.origin for p in col}) > 1:
+            col = [resample(p) for p in col]
+        for i, j in np.ndindex(n, n):
+            g[i, j] *= kg_inner(col[i], col[j])
     return g
 
 

@@ -30,9 +30,7 @@ __all__ = [
     "ProbabilityReport",
     "RegionPovm",
     "momentum_density",
-    "momentum_density_at",
     "region_probability",
-    "complement_probability",
     "spacelike_overlap",
 ]
 
@@ -72,28 +70,15 @@ class RegionPovm:
 
 
 def momentum_density(state: RapidityState) -> np.ndarray:
-    """Rapidity-space density |a_j|^2 / 2 (per unit theta) on the state's grid."""
+    """Rapidity-space density |a_j|^2 / 2 (per unit theta) at state.thetas."""
     return np.abs(state.amplitudes) ** 2 / 2.0
-
-
-def momentum_density_at(state: RapidityState, theta: float) -> float:
-    """Density linearly interpolated at an off-grid rapidity (0 outside)."""
-    return float(
-        np.interp(theta, state.grid.thetas, momentum_density(state), left=0.0, right=0.0)
-    )
-
-
-def _as_normalized(detector: RegionPovm | RapidityState) -> RapidityState:
-    if isinstance(detector, RegionPovm):
-        return detector.state
-    return normalize(detector)
 
 
 def region_probability(
     detector: RegionPovm | RapidityState, state: RapidityState
 ) -> ProbabilityReport:
     """p(detector | state) = |<h|f>|^2 with h, f normalized."""
-    h = _as_normalized(detector)
+    h = detector.state if isinstance(detector, RegionPovm) else normalize(detector)
     ff = kg_inner(state, state).real
     if not (ff > 0.0 and math.isfinite(ff)):
         raise ValueError("detection probability needs a state with positive norm")
@@ -103,18 +88,6 @@ def region_probability(
     return ProbabilityReport(
         value=value,
         components={"overlap_re": overlap.real, "overlap_im": overlap.imag},
-    )
-
-
-def complement_probability(
-    detector: RegionPovm | RapidityState, state: RapidityState
-) -> ProbabilityReport:
-    """Probability that the detector does not fire: 1 - p(detector | state)."""
-    fired = region_probability(detector, state)
-    return ProbabilityReport(
-        value=1.0 - fired.value,
-        components={"fired": fired.value},
-        warnings=fired.warnings,
     )
 
 

@@ -46,6 +46,7 @@ from .states import (
     boost_state,
     from_spacetime_function,
     propagator,
+    resample,
     slice_profile,
     wavefunction_grid,
 )
@@ -190,7 +191,7 @@ def rapidity_peak_fit(state: RapidityState, guess: float) -> float:
     """Peak rapidity of |a(theta)| for a boosted Gaussian-slice state.
 
     Fits log|a| against the exact profile shape c0 - k sinh^2(theta - peak)
-    of a boosted Gaussian slice; exact up to grid interpolation error.
+    of a boosted Gaussian slice; exact up to rounding at any boost.
     """
     mag = np.abs(state.amplitudes)
     top = float(np.max(mag))
@@ -705,7 +706,8 @@ def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
     warnings = []
     for omega in scn.omegas:
         comp = boost_state(rest, -omega)
-        total += amp * comp.amplitudes
+        on_grid = resample(comp)  # the sum and densities share the grid's thetas
+        total += amp * on_grid.amplitudes
         peak = rapidity_peak_fit(comp, omega)
         checks.append(
             BranchCheck(
@@ -727,8 +729,8 @@ def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
                 path="wave-packet",
             )
         )
-        densities[f"omega={omega:g}"] = (np.abs(comp.amplitudes) ** 2 / 2.0).tolist()
-        warnings.extend(f"branch omega={omega:g}: {note}" for note in comp.notes)
+        densities[f"omega={omega:g}"] = (np.abs(on_grid.amplitudes) ** 2 / 2.0).tolist()
+        warnings.extend(f"branch omega={omega:g}: {note}" for note in on_grid.notes)
     return ScenarioReport(
         scenario="superposition-of-boosts",
         branches=tuple(checks),

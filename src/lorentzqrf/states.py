@@ -44,9 +44,10 @@ is its own anchors with the single offset 0.  A GEMM tile holds at most
 the number of t or x points.  The equation-of-motion residual uses the same
 window and rotates its nine stencil samples from one cos/sin row per probe.
 
-Boosts act as exact index shifts when the rapidity is a lattice multiple of
-the grid step (amplitudes a'(theta) = a(theta + alpha), support transported
-by the kinematics boost matrix), and by cubic interpolation otherwise.
+A state sits at theta_j = grid.thetas[j] + origin.  A boost by alpha only
+moves the origin by -alpha (a'(theta) = a(theta + alpha), support moved by
+the kinematics boost matrix), so it is O(1), exact and drops nothing.  Only
+`resample` interpolates, back onto the grid's lattice where origins meet.
 
 The two-point function
 
@@ -87,9 +88,9 @@ __all__ = [
     "kg_inner",
     "kg_norm",
     "normalize",
-    "evolve",
     "translate",
     "boost_state",
+    "resample",
     "kg_equation_residual",
 ]
 
@@ -107,6 +108,8 @@ class RapidityGrid:
     count: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
+            raise TypeError(f"grid count must be an integer, got {self.count!r}")
         if not (math.isfinite(self.theta_min) and math.isfinite(self.step)):
             raise ValueError("grid parameters must be finite")
         if self.step <= 0.0:
@@ -331,8 +334,8 @@ class RapidityState:
     """Amplitudes over a rapidity grid for a particle of fixed mass.
 
     `proper` is False for non-normalizable preparations (point events);
-    `notes` accumulates non-fatal diagnostics (support truncation, boost
-    interpolation residuals).
+    `notes` accumulates non-fatal diagnostics (support truncation).
+    Amplitude j sits at rapidity grid.thetas[j] + origin.
     """
 
     grid: RapidityGrid
@@ -340,9 +343,12 @@ class RapidityState:
     amplitudes: np.ndarray
     proper: bool = True
     notes: tuple[str, ...] = field(default=())
+    origin: float = 0.0
 
     def __post_init__(self) -> None:
         check_mass(self.mass)
+        if not math.isfinite(self.origin):
+            raise ValueError("rapidity origin must be finite")
         a = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if a.shape != (self.grid.count,):
             raise ValueError(
@@ -355,7 +361,8 @@ class RapidityState:
 
     @property
     def thetas(self) -> np.ndarray:
-        return self.grid.thetas
+        th = self.grid.thetas
+        return th + self.origin if self.origin else th
 
     @property
     def weights(self) -> np.ndarray:
@@ -363,11 +370,11 @@ class RapidityState:
 
     @property
     def energies(self) -> np.ndarray:
-        return self.mass * np.cosh(self.grid.thetas)
+        return self.mass * np.cosh(self.thetas)
 
     @property
     def momenta(self) -> np.ndarray:
-        return self.mass * np.sinh(self.grid.thetas)
+        return self.mass * np.sinh(self.thetas)
 
     @cached_property
     def window(self) -> slice:
@@ -479,7 +486,7 @@ def _synthesize(
     n = win.stop - win.start
     if n == 0 or out.size == 0:
         return out
-    th = state.grid.thetas[win]
+    th = state.thetas[win]
     e, p = state.mass * np.cosh(th), state.mass * np.sinh(th)
     block = max(1, _BLOCK_ENTRIES // n)
     # every x anchor adds a row per t while x offsets are shared columns, so
@@ -656,8 +663,11 @@ def _check_compatible(a: RapidityState, b: RapidityState) -> None:
 
 
 def kg_inner(a: RapidityState, b: RapidityState) -> complex:
-    """Conserved inner product <a|b> = sum_j w_j conj(a_j) b_j."""
+    """Conserved inner product <a|b> = sum_j w_j conj(a_j) b_j; states on
+    different origins meet on the grid's lattice (`resample`)."""
     _check_compatible(a, b)
+    if a.origin != b.origin:
+        a, b = resample(a), resample(b)
     return complex(np.sum(a.weights * np.conj(a.amplitudes) * b.amplitudes))
 
 
@@ -674,18 +684,10 @@ def normalize(state: RapidityState) -> RapidityState:
     return state.with_amplitudes(state.amplitudes / n)
 
 
-def evolve(state: RapidityState, dt: float) -> RapidityState:
-    """Schroedinger evolution by dt: amplitudes pick up exp(-i E dt)."""
-    return state.with_amplitudes(state.amplitudes * np.exp(-1j * state.energies * dt))
-
-
 def translate(state: RapidityState, dt: float, dx: float) -> RapidityState:
     """Rigid support shift by (dt, dx): amplitudes pick up exp(i E dt - i p dx)."""
     phase = np.exp(1j * (state.energies * dt - state.momenta * dx))
     return state.with_amplitudes(state.amplitudes * phase)
-
-
-_LATTICE_SNAP = 1e-9  # |alpha/step - round| below this counts as a lattice boost
 
 
 def boost_state(state: RapidityState, alpha: float) -> RapidityState:
@@ -695,49 +697,50 @@ def boost_state(state: RapidityState, alpha: float) -> RapidityState:
     image of the original support (wavefunction covariance:
     psi'(boost_point(alpha, pt)) == psi(pt)).
 
-    Lattice multiples of the grid step shift indices exactly (amplitudes
-    falling off the grid are dropped); other rapidities use a cubic spline
-    on real and imaginary parts, which adds an interpolation-residual note.
+    Only the origin moves, by -alpha; the amplitudes are shared unchanged,
+    so the boost is exact at every rapidity and drops nothing.
     """
     if not math.isfinite(alpha):
         raise ValueError("boost rapidity must be finite")
-    grid = state.grid
-    a = state.amplitudes
+    return replace(state, origin=state.origin - alpha)
+
+
+_LATTICE_SNAP = 1e-9  # |origin/step - round| below this counts as a lattice shift
+
+
+def resample(state: RapidityState) -> RapidityState:
+    """The state on its grid's own lattice (origin 0).
+
+    An origin that is a lattice multiple of the step shifts indices exactly;
+    any other origin evaluates one cubic spline through the real and
+    imaginary parts at grid.thetas - origin.  Amplitudes falling off the grid
+    are dropped, with a note when the support ends within 5% of its boundary.
+    """
+    if state.origin == 0.0:
+        return state
+    grid, a, alpha = state.grid, state.amplitudes, -state.origin
+    th, n = grid.thetas, grid.count
     k = alpha / grid.step
     kr = round(k)
-    notes: list[str] = []
     if abs(k - kr) <= _LATTICE_SNAP:
         new = np.zeros_like(a)
-        if kr == 0:
-            new[:] = a
-        elif kr > 0:
-            if kr < grid.count:
-                new[: grid.count - kr] = a[kr:]
-        else:
-            if -kr < grid.count:
-                new[-kr:] = a[: grid.count + kr]
+        if abs(kr) < n:
+            new[max(-kr, 0) : n - max(kr, 0)] = a[max(kr, 0) : n - max(-kr, 0)]
     else:
         from scipy.interpolate import CubicSpline
 
-        th = grid.thetas
-        target = th + alpha
-        re = CubicSpline(th, a.real, extrapolate=False)(target)
-        im = CubicSpline(th, a.imag, extrapolate=False)(target)
-        new = np.where(np.isnan(re), 0.0, re) + 1j * np.where(np.isnan(im), 0.0, im)
-        before = math.sqrt(float(np.sum(state.weights * np.abs(a) ** 2)))
-        after = math.sqrt(float(np.sum(state.weights * np.abs(new) ** 2)))
-        notes.append(f"boost interpolation residual {abs(after - before):.3e}")
-    peak = float(np.max(np.abs(new)))
-    if peak > 0.0:
-        span = grid.theta_max - grid.theta_min
-        margin = 0.05 * span
-        sig = np.abs(new) > _SUPPORT_CUT * peak
-        lo, hi = grid.thetas[sig][0], grid.thetas[sig][-1]
-        if lo < grid.theta_min + margin or hi > grid.theta_max - margin:
-            notes.append(
-                "boosted support within 5% of the grid boundary; amplitudes may be truncated"
-            )
-    return state.with_amplitudes(new, tuple(notes))
+        parts = CubicSpline(th, np.stack([a.real, a.imag], axis=1), extrapolate=False)(
+            th + alpha
+        )
+        parts[np.isnan(parts)] = 0.0
+        new = parts[:, 0] + 1j * parts[:, 1]
+    notes = state.notes
+    mag = np.abs(new)
+    sig = np.flatnonzero(mag > _SUPPORT_CUT * np.max(mag))
+    margin = 0.05 * (grid.theta_max - grid.theta_min)
+    if sig.size and (th[sig[0]] < th[0] + margin or th[sig[-1]] > th[-1] - margin):
+        notes += ("boosted support within 5% of the grid boundary; amplitudes may be truncated",)
+    return replace(state, amplitudes=new, origin=0.0, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +791,7 @@ def kg_equation_residual(
     # terms of size E^2 |psi|, where double rounding would dominate
     ld = np.longdouble
     win = state.window
-    th = state.grid.thetas[win].astype(ld)
+    th = state.thetas[win].astype(ld)
     e = ld(state.mass) * np.cosh(th)
     p = ld(state.mass) * np.sinh(th)
     w = state.grid.weights[win].astype(ld)

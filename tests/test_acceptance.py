@@ -6,6 +6,7 @@ assert each criterion's verdict and surface its one-line summary.
 
 import json
 
+import numpy as np
 import pytest
 
 from lorentzqrf import acceptance
@@ -77,3 +78,15 @@ def test_payload_is_canonical_and_complete(suite):
     blob = canonical_json(payload)
     parsed = json.loads(blob)
     assert canonical_json(parsed) == blob
+
+
+def test_gauss_legendre_nodes_match_leggauss():
+    nodes, weights = acceptance._leggauss(1200)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(1200)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+    assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 1e-6
+    # at the oracle's order, even monomials integrate to 2/(d+1)
+    nodes, weights = acceptance._leggauss(3000)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    for d in range(0, 41, 2):
+        assert abs(weights @ nodes**d - 2.0 / (d + 1)) <= 1e-14

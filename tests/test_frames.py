@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorentzqrf.frames import (
     BranchedFrameState,
@@ -30,11 +31,11 @@ from lorentzqrf.states import (
     Slice,
     TiltedSlice,
     boost_state,
-    evolve,
     from_spacetime_function,
     kg_inner,
     kg_norm,
     normalize,
+    resample,
     translate,
 )
 
@@ -190,11 +191,11 @@ def test_change_frame_payload_is_branchwise_boost(grid):
     jumped = change_frame(state, "C", "A")
     # jumped branches sorted: (-omega, then 0)
     expect_hi = boost_state(state.payloads[1][0], -omega)
-    np.testing.assert_allclose(
-        jumped.payloads[0][0].amplitudes, expect_hi.amplitudes, atol=1e-15
-    )
-    np.testing.assert_allclose(
-        jumped.payloads[1][0].amplitudes, state.payloads[0][0].amplitudes, atol=1e-15
+    assert jumped.payloads[0][0].origin == expect_hi.origin == omega
+    np.testing.assert_array_equal(jumped.payloads[0][0].amplitudes, expect_hi.amplitudes)
+    assert jumped.payloads[1][0].origin == 0.0
+    np.testing.assert_array_equal(
+        jumped.payloads[1][0].amplitudes, state.payloads[0][0].amplitudes
     )
 
 
@@ -213,13 +214,54 @@ def test_change_frame_round_trip_lattice_exact(grid):
 
 
 def test_change_frame_round_trip_generic_rapidity(grid):
-    # off-lattice rapidities go through cubic interpolation twice; the
-    # round-trip residual is bounded by the h^4 spline error, ~1e-10 here
+    # off-lattice boosts only move the payload origin, so the round trip
+    # restores origin and amplitudes exactly
     state = _two_branch_state(grid, (-0.37, 0.81), (0.6, 0.8))
-    back = change_frame(change_frame(state, "C", "A"), "A", "C")
+    jumped = change_frame(state, "C", "A")
+    assert sorted(row[0].origin for row in jumped.payloads) == [-0.37, 0.81]
+    back = change_frame(jumped, "A", "C")
     for row0, row1 in zip(state.payloads, back.payloads):
-        diff = np.max(np.abs(row1[0].amplitudes - row0[0].amplitudes))
-        assert diff < 1e-9
+        assert row1[0].origin == row0[0].origin == 0.0
+        np.testing.assert_array_equal(row1[0].amplitudes, row0[0].amplitudes)
+
+
+@settings(max_examples=15)
+@given(
+    k=st.integers(1, 6),
+    t0=st.floats(0.0, 50.0),
+    seed=st.integers(0, 2**16),
+)
+def test_change_frame_round_trip_property(grid, k, t0, seed):
+    """Jumping there and back restores every payload's origin and amplitudes
+    bit for bit, for any branch count, branch rapidities and payload offset."""
+    rng = np.random.default_rng(seed)
+    omegas = rng.choice(np.linspace(-1.5, 1.5, 997), size=k, replace=False)
+    payloads = tuple(
+        (
+            normalize(
+                from_spacetime_function(
+                    Gaussian2D(t0=t0, x0=float(rng.uniform(-1.0, 1.0)), energy=1.0),
+                    1.0,
+                    grid,
+                )
+            ),
+        )
+        for _ in range(k)
+    )
+    state = BranchedFrameState(
+        frame="C",
+        frame_mass=1.0,
+        branch_system="A",
+        branches=tuple(SharpBranch(float(om), 1.0 / math.sqrt(k), 1.3) for om in omegas),
+        payload_labels=("B",),
+        payloads=payloads,
+    )
+    back = change_frame(change_frame(state, "C", "A"), "A", "C")
+    assert total_norm(back) == total_norm(state)
+    for b0, row0, b1, row1 in zip(state.branches, state.payloads, back.branches, back.payloads):
+        assert b1.rapidity == b0.rapidity
+        assert row1[0].origin == row0[0].origin == 0.0
+        assert np.array_equal(row1[0].amplitudes, row0[0].amplitudes)
 
 
 def test_change_frame_norm_preserved(grid):
@@ -274,7 +316,7 @@ def test_transformed_evolution_rest_branch_is_plain_evolution(grid):
     rest = out.payloads[0][0]
     np.testing.assert_allclose(
         rest.amplitudes,
-        evolve(state.payloads[0][0], t_pay).amplitudes,
+        translate(state.payloads[0][0], -t_pay, 0.0).amplitudes,
         atol=1e-14,
     )
     assert out.branches[0].amplitude == pytest.approx(
@@ -292,7 +334,7 @@ def test_transformed_evolution_conjugation_oracle(grid):
     out = transformed_evolution(state, 0.0, t_pay)
     for branch, row_in, row_out in zip(state.branches, state.payloads, out.payloads):
         om = branch.rapidity
-        expected = boost_state(evolve(boost_state(row_in[0], -om), t_pay), om)
+        expected = boost_state(translate(boost_state(row_in[0], -om), -t_pay, 0.0), om)
         np.testing.assert_allclose(
             row_out[0].amplitudes, expected.amplitudes, atol=1e-12
         )
@@ -361,13 +403,14 @@ def test_superposed_slice_payload_is_tilted_slice(grid):
         -omega
     ]
     ch, sh = math.cosh(omega), math.sinh(omega)
-    tilted = from_spacetime_function(
-        TiltedSlice(t_b / ch, math.tanh(omega), GaussianProfile(sh * t_b, sigma * ch)),
-        m_b,
-        grid,
-    )
+    surface = TiltedSlice(t_b / ch, math.tanh(omega), GaussianProfile(sh * t_b, sigma * ch))
+    tilted = from_spacetime_function(surface, m_b, grid)
+    # exact at the payload's own rapidities; on the grid's lattice within
+    # the cubic resampling error
+    expect = surface.transform(pay.energies, pay.momenta) / ch
+    assert np.max(np.abs(pay.amplitudes - expect)) < 1e-12
     keep = np.abs(grid.thetas) < 8.0
-    diff = np.max(np.abs(pay.amplitudes - tilted.amplitudes / ch)[keep])
+    diff = np.max(np.abs(resample(pay).amplitudes - tilted.amplitudes / ch)[keep])
     assert diff < 1e-7
 
 
@@ -421,6 +464,32 @@ def test_twirl_is_shift_invariant():
     t = twirl_lattice(ext).tensor
     shifted = np.roll(t, 1, axis=(0, 1))
     np.testing.assert_allclose(shifted, t, atol=1e-15)
+
+
+@given(
+    size=st.integers(2, 9),
+    shift=st.integers(0, 8),
+    raw=st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 8), st.floats(0.1, 1.0)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_twirl_invariant_under_global_lattice_shift(size, shift, raw):
+    """Boosting every system by the same lattice step before the twirl
+    changes nothing, bit for bit."""
+    branches, seen = [], set()
+    for a, b, amp in raw:
+        sites = (a % size, b % size)
+        if sites not in seen:
+            seen.add(sites)
+            branches.append((complex(amp, 0.5), sites))
+    lat = CyclicLattice(size, 0.5)
+    ext = SharpExternalState(lat, ("B", "C"), tuple(branches))
+    moved = SharpExternalState(
+        lat, ("B", "C"), tuple((amp, (a + shift, b + shift)) for amp, (a, b) in branches)
+    )
+    assert np.array_equal(twirl_lattice(moved).tensor, twirl_lattice(ext).tensor)
 
 
 def test_jump_factor_uniform_and_relational_sites():

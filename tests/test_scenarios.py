@@ -1,11 +1,11 @@
 """Tests for the end-to-end scenario runners."""
 
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from lorentzqrf.acceptance import _leggauss
 from lorentzqrf.kinematics import boost_matrix, rapidity_of_velocity
 from lorentzqrf.scenarios import (
     BoostSuperpositionScenario,
@@ -342,15 +342,6 @@ def test_boost_superposition_grids_shape():
 
 # ---------------------------------------------------------------------------
 # non-relativistic interference
-
-
-@lru_cache(maxsize=None)
-def _leggauss(n):
-    """Read-only Gauss-Legendre nodes and weights, computed once per order."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
 
 
 def _oracle_amplitude(scn, omega, eps=1.0, nt=3500, nx=1400):

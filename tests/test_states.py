@@ -18,7 +18,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, trapezoid
+from scipy.interpolate import CubicSpline
 from scipy.special import hankel2, k0
 
 from lorentzqrf import states
@@ -36,13 +38,13 @@ from lorentzqrf.states import (
     TiltedSlice,
     boost_state,
     default_probe_points,
-    evolve,
     from_spacetime_function,
     kg_equation_residual,
     kg_inner,
     kg_norm,
     normalize,
     propagator,
+    resample,
     slice_profile,
     translate,
     wavefunction,
@@ -78,6 +80,25 @@ def test_grid_validation():
     # trapezoid weights integrate a smooth function accurately
     total = float(np.sum(g.weights * np.cosh(g.thetas) ** -2))
     assert total == pytest.approx(0.5 * quad(lambda t: np.cosh(t) ** -2, -10, 10)[0], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RapidityGrid.symmetric(10.0, 4096.0),
+        lambda: RapidityGrid(-1.0, 0.1, 10.5),
+        lambda: RapidityGrid(-1.0, 0.1, 16.0),
+        lambda: RapidityGrid(-1.0, 0.1, True),
+    ],
+    ids=["symmetric-float", "fraction", "integral-float", "bool"],
+)
+def test_grid_rejects_non_integer_count(make):
+    with pytest.raises(TypeError, match="count"):
+        make()
+
+
+def test_grid_accepts_numpy_integer_count():
+    assert RapidityGrid(-1.0, 0.1, np.int64(16)) == RapidityGrid(-1.0, 0.1, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +384,7 @@ def test_kg_inner_conserved_under_maps(grid):
     a = _random_packet(rng, grid)
     b = _random_packet(rng, grid)
     i0 = kg_inner(a, b)
-    assert abs(kg_inner(evolve(a, 0.7), evolve(b, 0.7)) - i0) < 1e-14
+    assert abs(kg_inner(translate(a, -0.7, 0.0), translate(b, -0.7, 0.0)) - i0) < 1e-14
     assert abs(kg_inner(translate(a, 0.2, -0.5), translate(b, 0.2, -0.5)) - i0) < 1e-14
     assert kg_norm(normalize(a)) == pytest.approx(1.0, abs=1e-14)
 
@@ -384,10 +405,12 @@ def test_kg_inner_mismatch_errors(grid):
 
 
 def test_translate_evolve_identity(grid):
+    # Schroedinger evolution by dt, amplitudes times exp(-i E dt), is
+    # translate(s, -dt, 0)
     s = _random_packet(np.random.default_rng(5), grid)
     st = translate(s, 0.41, 0.0)
-    se = evolve(s, -0.41)
-    assert np.max(np.abs(st.amplitudes - se.amplitudes)) == 0.0
+    evolved = s.amplitudes * np.exp(-1j * s.energies * -0.41)
+    assert np.max(np.abs(st.amplitudes - evolved)) == 0.0
 
 
 def test_translation_moves_wavefunction(grid):
@@ -400,16 +423,43 @@ def test_translation_moves_wavefunction(grid):
         ) < 1e-12
 
 
+def _parent_boost(state, alpha):
+    """Reference: the boost as an index shift on lattice multiples of the step
+    and two cubic splines otherwise, amplitudes on the grid's own lattice."""
+    grid, a = state.grid, state.amplitudes
+    k = alpha / grid.step
+    kr = round(k)
+    if abs(k - kr) <= 1e-9:
+        new = np.zeros_like(a)
+        if kr == 0:
+            new[:] = a
+        elif kr > 0:
+            if kr < grid.count:
+                new[: grid.count - kr] = a[kr:]
+        elif -kr < grid.count:
+            new[-kr:] = a[: grid.count + kr]
+        return new
+    th = grid.thetas
+    re = CubicSpline(th, a.real, extrapolate=False)(th + alpha)
+    im = CubicSpline(th, a.imag, extrapolate=False)(th + alpha)
+    return np.where(np.isnan(re), 0.0, re) + 1j * np.where(np.isnan(im), 0.0, im)
+
+
 def test_boost_lattice_exactness(grid):
     s = _random_packet(np.random.default_rng(7), grid)
     k = 64
     b = boost_state(s, k * grid.step)
-    assert np.max(np.abs(b.amplitudes[: grid.count - k] - s.amplitudes[k:])) == 0.0
-    assert np.all(b.amplitudes[grid.count - k :] == 0.0)
+    # the boost moves the origin only; resampling shifts indices exactly
+    assert b.origin == -k * grid.step
+    assert b.amplitudes is s.amplitudes
+    r = resample(b)
+    assert r.origin == 0.0
+    assert np.max(np.abs(r.amplitudes[: grid.count - k] - s.amplitudes[k:])) == 0.0
+    assert np.all(r.amplitudes[grid.count - k :] == 0.0)
     # composition of lattice boosts is exact
     b2 = boost_state(boost_state(s, 8 * grid.step), -8 * grid.step)
-    mid = slice(100, grid.count - 100)
-    assert np.max(np.abs(b2.amplitudes[mid] - s.amplitudes[mid])) == 0.0
+    assert b2.origin == 0.0
+    assert np.array_equal(b2.amplitudes, s.amplitudes)
 
 
 def test_boost_covariance(grid):
@@ -417,10 +467,10 @@ def test_boost_covariance(grid):
     rng = np.random.default_rng(8)
     s = _random_packet(rng, grid)
     pts = [SpacetimePoint(*rng.uniform(-1.0, 1.0, size=2)) for _ in range(6)]
-    for alpha, tol in [(8 * grid.step, 1e-13), (-64 * grid.step, 1e-13), (0.61, 1e-8), (-1.43, 1e-8)]:
+    for alpha in (8 * grid.step, -64 * grid.step, 0.61, -1.43):
         b = boost_state(s, alpha)
         for pt in pts:
-            assert abs(wavefunction(b, boost_point(alpha, pt)) - wavefunction(s, pt)) < tol
+            assert abs(wavefunction(b, boost_point(alpha, pt)) - wavefunction(s, pt)) < 1e-13
 
 
 def test_boost_inner_product_invariance(grid):
@@ -428,21 +478,64 @@ def test_boost_inner_product_invariance(grid):
     a = _random_packet(rng, grid)
     b = _random_packet(rng, grid)
     i0 = kg_inner(a, b)
-    for alpha in [grid.step, -8 * grid.step, 64 * grid.step]:
-        dev = abs(kg_inner(boost_state(a, alpha), boost_state(b, alpha)) - i0)
-        assert dev < 1e-12 * abs(i0)
-    for alpha in [0.5, -1.7, 1.99]:
-        dev = abs(kg_inner(boost_state(a, alpha), boost_state(b, alpha)) - i0)
-        assert dev < 1e-4 * abs(i0)
+    for alpha in [grid.step, -8 * grid.step, 64 * grid.step, 0.5, -1.7, 1.99]:
+        assert kg_inner(boost_state(a, alpha), boost_state(b, alpha)) == i0
+    # states on different origins meet on the grid's lattice
+    x, y = boost_state(a, 0.5), boost_state(b, -0.3)
+    assert kg_inner(x, y) == kg_inner(resample(x), resample(y))
+    assert abs(kg_inner(x, y) - kg_inner(y, x).conjugate()) < 1e-15
 
 
 def test_boost_interpolation_notes(grid):
     s = _random_packet(np.random.default_rng(10), grid)
-    b = boost_state(s, 0.777)
-    assert any("interpolation residual" in n for n in b.notes)
-    # a boost pushing support to the edge warns about truncation
-    edgy = boost_state(s, 9.0)
+    # a boost interpolates nothing and drops nothing, at any rapidity
+    for alpha in (0.777, 9.0, 64 * grid.step):
+        assert boost_state(s, alpha).notes == s.notes
+    # resampling onto the grid keeps no residual note in the interior...
+    assert resample(boost_state(s, 0.777)).notes == s.notes
+    # ...and warns about truncation when support reaches the grid edge
+    edgy = resample(boost_state(s, 9.0))
     assert any("boundary" in n for n in edgy.notes)
+    assert resample(s) is s
+
+
+def test_boost_state_rejects_non_finite_rapidity(grid):
+    s = _random_packet(np.random.default_rng(11), grid)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            boost_state(s, alpha)
+    with pytest.raises(ValueError, match="origin"):
+        RapidityState(grid, 1.0, s.amplitudes, origin=math.nan)
+
+
+@settings(max_examples=20)
+@given(
+    a=st.floats(-3.0, 3.0, allow_subnormal=False),
+    b=st.floats(-3.0, 3.0, allow_subnormal=False),
+)
+def test_boost_composition_property(grid, a, b):
+    """boost(boost(f, a), b) is boost(f, a + b) bit for bit from origin 0."""
+    f = _random_packet(np.random.default_rng(12), grid)
+    twice = boost_state(boost_state(f, a), b)
+    once = boost_state(f, a + b)
+    assert twice.origin == once.origin
+    assert np.array_equal(twice.amplitudes, once.amplitudes)
+    assert np.array_equal(twice.thetas, once.thetas)
+
+
+@settings(max_examples=20)
+@given(
+    steps=st.integers(-200, 200),
+    frac=st.sampled_from([0.0, 0.5e-10, 0.13, 0.5, 0.91]),
+    seed=st.integers(0, 2**16),
+)
+def test_resample_matches_grid_boost_property(grid, steps, frac, seed):
+    """resample(boost_state(s, alpha)) is the index-shift/spline boost of the
+    amplitudes on the grid's lattice, bit for bit, on and off the lattice."""
+    s = _random_packet(np.random.default_rng(seed), grid)
+    alpha = (steps + frac) * grid.step
+    got = resample(boost_state(s, alpha)).amplitudes
+    assert np.array_equal(got.view(float), _parent_boost(s, alpha).view(float))
 
 
 def test_boosted_slice_is_tilted_slice(grid):
@@ -453,12 +546,14 @@ def test_boosted_slice_is_tilted_slice(grid):
     s = from_spacetime_function(Slice(t0, GaussianProfile(0.0, sig)), 1.0, grid)
     b = boost_state(s, alpha)
     ch, sh, th = math.cosh(alpha), math.sinh(alpha), math.tanh(alpha)
-    tilted = from_spacetime_function(
-        TiltedSlice(t0 / ch, -th, GaussianProfile(-sh * t0, sig * ch)), 1.0, grid
-    )
-    expect = tilted.amplitudes / ch
+    surface = TiltedSlice(t0 / ch, -th, GaussianProfile(-sh * t0, sig * ch))
+    # exact at the boosted state's own rapidities
+    expect = surface.transform(b.energies, b.momenta) / ch
+    assert np.max(np.abs(b.amplitudes - expect)) < 1e-12
+    # and within the cubic resampling error on the grid's lattice
+    tilted = from_spacetime_function(surface, 1.0, grid)
     keep = np.abs(grid.thetas) < 8.0
-    assert np.max(np.abs(b.amplitudes - expect)[keep]) < 1e-7
+    assert np.max(np.abs(resample(b).amplitudes - tilted.amplitudes / ch)[keep]) < 1e-7
 
 
 def test_tilted_slice_boosts_to_flat_gaussian(grid):
@@ -470,13 +565,14 @@ def test_tilted_slice_boosts_to_flat_gaussian(grid):
         TiltedSlice(0.0, -math.tanh(om), GaussianProfile(0.0, sig)), 1.0, grid
     )
     flat = boost_state(tilted, -om)
-    target = from_spacetime_function(
-        Slice(0.0, GaussianProfile(0.0, sig / math.cosh(om))), 1.0, grid
-    )
-    ratio = flat.amplitudes[grid.count // 2] / target.amplitudes[grid.count // 2]
-    assert ratio.real == pytest.approx(math.cosh(om), abs=1e-10)
-    assert abs(ratio.imag) < 1e-10
-    assert np.max(np.abs(flat.amplitudes - ratio * target.amplitudes)) < 1e-9
+    # the flat Gaussian's transform at the boosted state's own rapidities
+    target = Slice(0.0, GaussianProfile(0.0, sig / math.cosh(om)))
+    expect = target.transform(flat.energies, flat.momenta)
+    j = int(np.argmax(np.abs(expect)))
+    ratio = flat.amplitudes[j] / expect[j]
+    assert ratio.real == pytest.approx(math.cosh(om), abs=1e-12)
+    assert abs(ratio.imag) < 1e-12
+    assert np.max(np.abs(flat.amplitudes - ratio * expect)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
