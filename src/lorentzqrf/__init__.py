@@ -9,10 +9,10 @@ frame changes) are built on top of that representation.
 Layout:
 
 - `kinematics`: classical boosts, intervals, rapidity/velocity/momentum maps.
-- `states`: rapidity-grid states, preparation from spacetime functions,
-  exact boosts (origin moves), resampling onto the grid, translations, the
-  positive-energy two-point function.
-- `measurement`: spacetime-region detection probabilities and momentum
+- `states`: rapidity-grid states, preparation from Gaussian spacetime
+  functions, exact boosts (origin moves), resampling onto the grid,
+  translations, the positive-energy two-point function.
+- `measurement`: detection probabilities between states and momentum
   densities.
 - `frames`: branched reference-frame states, frame changes, and the exact
   cyclic-lattice twirl model.
@@ -66,7 +66,6 @@ from .kinematics import (
 )
 from .measurement import (
     ProbabilityReport,
-    RegionPovm,
     momentum_density,
     region_probability,
 )
@@ -95,11 +94,9 @@ from .scenarios import (
 from .states import (
     Gaussian2D,
     GaussianProfile,
-    PointEvent,
     PropagatorQuery,
     RapidityGrid,
     RapidityState,
-    SampledFunction,
     Slice,
     TiltedSlice,
     boost_state,

@@ -181,7 +181,7 @@ def criterion_3() -> CriterionResult:
         if om1 == om2:
             continue
         rep = run_time_dilation(
-            DilationScenario(t1=t1, t2=t1 + dt, x0=x0, omega1=om1, omega2=om2)
+            DilationScenario(t1=t1, dt=dt, x0=x0, omega1=om1, omega2=om2)
         )
         for check in rep.branches:
             rel = abs(check.measured - check.predicted) / abs(check.predicted)
@@ -523,7 +523,7 @@ def _contour_oracle_amplitude(
     cancellation.
     """
     m, sx, st = scn.mass, scn.sigma_x, scn.sigma_t
-    tp, xp = scn.probe
+    tp, xp = scn.tp, scn.xp
     beta = 1.0 + omega * omega / 2.0
     tn, tw = _leggauss(nt)
     xn, xw = _leggauss(nx)

@@ -7,15 +7,18 @@ from byte comparisons), an optional CSV table, and an optional SVG panel.
 `lorentzqrf selftest` runs the full acceptance suite.
 
 `SCENARIOS` maps each scenario name to its dataclass in `scenarios`, the
-name of its runner there, and a table from the documented config keys to
-the dataclass fields.  Defaults and range checks live in the dataclass
-alone; this module only turns JSON values into values of each field's
-annotated type, rejecting wrong types, non-integers and non-finite numbers
-with the config key named.
+name of its runner there, a table from the documented config keys to the
+dataclass fields (one field per key), and the table and plot drawn from the
+report alone.  Defaults and range checks live in the dataclass alone; this
+module only turns JSON values into values of each field's annotated type,
+rejecting wrong types, non-integers and non-finite numbers with the config
+key named.  An error the scenario raises while it is built or run, and a
+report holding a non-finite number, exit 1 with the keys given named, before
+any artifact is written.
 
 Exit codes: 0 all in-report checks pass; 2 a tolerance check or fit failed;
 1 configuration error (unknown scenario, bad parameter, unreadable config,
-unwritable output directory).
+a value the scenario cannot run with, unwritable output directory).
 """
 
 from __future__ import annotations
@@ -25,15 +28,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from types import NoneType, UnionType
-from typing import Any, Callable, get_args, get_origin, get_type_hints
-
-import numpy as np
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import plots, report as reporting, scenarios
 from .scenarios import BranchCheck, FitError, ScenarioReport
-from .states import wavefunction_grid
 
 __all__ = ["main", "SCENARIOS"]
 
@@ -92,21 +92,19 @@ def _check_table(rep: dict):
 class _Entry:
     """One `lorentzqrf run` scenario: `keys` maps each config key to its field.
 
-    A key mapped to None is a number that is not one field; `derived_defaults`
-    (of a default scenario) and `derived_fields` (of all keys) convert it.
     `runner` is looked up in `scenarios` per run, so later wrappers run too.
+    `plot` and `csv` read the report's dict and nothing else.
     """
 
     scenario: type
     runner: str
-    keys: dict[str, str | None]
-    plot: Callable[[dict, Any], str]
+    keys: dict[str, str]
+    plot: Callable[[dict], str]
     csv: Callable[[dict], tuple[list[dict], list[str]]] = _check_table
-    derived_defaults: Callable[[Any], dict] = lambda scn: {}
-    derived_fields: Callable[[dict], dict] = lambda cfg: {}
 
-    def settings(self, name: str, given: dict) -> tuple[dict, Any]:
-        """The resolved config, keyed like `given`, and its scenario."""
+    def config(self, name: str, given: dict) -> dict:
+        """Every key's value, keyed like `given`: the scenario's defaults
+        overlaid by the values given, coerced to their fields' types."""
         unknown = sorted(set(given) - set(self.keys))
         if unknown:
             raise ValueError(
@@ -115,27 +113,17 @@ class _Entry:
             )
         base = self.scenario()
         hints = get_type_hints(self.scenario)
-        config = {key: getattr(base, f) for key, f in self.keys.items() if f}
-        config.update(self.derived_defaults(base))
+        config = {key: getattr(base, f) for key, f in self.keys.items()}
         for key, value in given.items():
-            hint = hints[self.keys[key]] if self.keys[key] else float
-            config[key] = _coerce(key, value, hint)
-        values = {f: config[key] for key, f in self.keys.items() if f}
-        values.update(self.derived_fields(config))
-        try:
-            return config, replace(base, **values)
-        except ValueError as exc:
-            # the defaults are valid, so the keys given are the ones to check;
-            # the scenario's own message names fields, not keys
-            keys = ", ".join(f"{key}={config[key]!r}" for key in given)
-            raise ValueError(f"{exc} (given {keys})") from None
+            config[key] = _coerce(key, value, hints[self.keys[key]])
+        return config
 
 
 # ---------------------------------------------------------------------------
 # tables and plots
 
 
-def _plot_dilation(rep: dict, scn) -> str:
+def _plot_dilation(rep: dict) -> str:
     if rep["details"]["mode"] == "exact-event":
         groups = [
             (name, [tuple(ev) for ev in data["events"]])
@@ -153,7 +141,7 @@ def _plot_dilation(rep: dict, scn) -> str:
     )
 
 
-def _plot_contraction(rep: dict, scn) -> str:
+def _plot_contraction(rep: dict) -> str:
     groups = []
     for branch_name, pairs in sorted(rep["grids"].items()):
         for pair_name, events in sorted(pairs.items()):
@@ -163,7 +151,7 @@ def _plot_contraction(rep: dict, scn) -> str:
     return plots.event_chart(groups, title="length contraction: rod end events")
 
 
-def _plot_width(rep: dict, scn) -> str:
+def _plot_width(rep: dict) -> str:
     series = [
         (name, data["x"], data["profile"])
         for name, data in sorted(rep["grids"].items())
@@ -176,32 +164,18 @@ def _plot_width(rep: dict, scn) -> str:
     )
 
 
-def _plot_slice(rep: dict, scn) -> str:
-    # draw the branch payloads' spacetime supports in the branch colors,
-    # with the fitted ridge lines overlaid
-    state = scenarios.slice_scenario_state(scn)
-    span_x = max(4.0 * scn.sigma * math.cosh(om) for om in scn.omegas)
-    span_t = max(abs(scn.payload_time) + 0.5 * span_x, 1.0)
-    xs = np.linspace(-span_x, span_x, 72)
-    ts = np.linspace(-0.2 * span_t, 1.2 * span_t, 72)
-    layers = []
-    for branch, (pay,) in zip(state.branches, state.payloads):
-        z = np.abs(wavefunction_grid(pay, ts, xs)) ** 2
-        layers.append((f"omega={-branch.rapidity:g}", z))
-    ridges = [
+def _plot_slice(rep: dict) -> str:
+    # each branch's fitted ridge t(x), across that branch's support
+    series = [
         (name, data["x"], data["ridge_t"])
         for name, data in sorted(rep["grids"].items())
     ]
-    return plots.support_heatmap(
-        xs,
-        ts,
-        layers,
-        ridges=ridges,
-        title="superposed slices: branch supports and fitted ridges",
+    return plots.line_chart(
+        series, title="superposed slices: fitted branch ridges", xlabel="x", ylabel="t"
     )
 
 
-def _plot_boosts(rep: dict, scn) -> str:
+def _plot_boosts(rep: dict) -> str:
     theta = rep["grids"]["theta"]
     series = [("total", theta, rep["grids"]["density_total"])]
     for name, dens in sorted(rep["grids"]["density_branches"].items()):
@@ -223,7 +197,7 @@ def _interference_table(rep: dict):
     return rows, ["component", "value"]
 
 
-def _plot_interference(rep: dict, scn) -> str:
+def _plot_interference(rep: dict) -> str:
     comp = rep["details"]["components"]
     pairs = [
         ("p+", comp["p_plus"]),
@@ -237,7 +211,7 @@ def _plot_interference(rep: dict, scn) -> str:
     )
 
 
-def _plot_coordinates(rep: dict, scn) -> str:
+def _plot_coordinates(rep: dict) -> str:
     groups = []
     for stage in ("before", "after"):
         state = rep["details"][stage]
@@ -252,7 +226,7 @@ def _propagator_table(rep: dict):
     return rep["grids"]["rows"], ["dt", "dx", "re", "im"]
 
 
-def _plot_propagator(rep: dict, scn) -> str:
+def _plot_propagator(rep: dict) -> str:
     tl = rep["grids"]["timelike"]
     sl = rep["grids"]["spacelike"]
     series = [
@@ -273,12 +247,10 @@ SCENARIOS = {
         scenarios.DilationScenario,
         "run_time_dilation",
         {
-            "t1": "t1", "dt": None, "x0": "x0", "w1": "omega1", "w2": "omega2",
+            "t1": "t1", "dt": "dt", "x0": "x0", "w1": "omega1", "w2": "omega2",
             "mode": "mode", "sigma": "sigma", "mass": "mass",
         },
         _plot_dilation,
-        derived_defaults=lambda scn: {"dt": scn.t2 - scn.t1},
-        derived_fields=lambda cfg: {"t2": cfg["t1"] + cfg["dt"]},
     ),
     "length-contraction": _Entry(
         scenarios.ContractionScenario,
@@ -313,13 +285,11 @@ SCENARIOS = {
         "run_interference_checks",
         {
             "x0": "x0", "t0": "t0", "sx": "sigma_x", "st": "sigma_t", "m": "mass",
-            "w1": "omega1", "w2": "omega2", "tp": None, "xp": None, "sign": "sign",
+            "w1": "omega1", "w2": "omega2", "tp": "tp", "xp": "xp", "sign": "sign",
             "frame_width": "frame_width",
         },
         _plot_interference,
         _interference_table,
-        derived_defaults=lambda scn: {"tp": scn.probe[0], "xp": scn.probe[1]},
-        derived_fields=lambda cfg: {"probe": (cfg["tp"], cfg["xp"])},
     ),
     "coordinate-transform": _Entry(
         scenarios.CoordinateScenario,
@@ -391,8 +361,20 @@ def _cmd_run(args) -> int:
     try:
         given = _load_config(args.config)
         given.update(_parse_set(args.set or []))
-        cfg, scn = entry.settings(args.scenario, given)
-        rep = getattr(scenarios, entry.runner)(scn)
+        cfg = entry.config(args.scenario, given)
+        try:
+            scn = entry.scenario(**{f: cfg[key] for key, f in entry.keys.items()})
+            rep = getattr(scenarios, entry.runner)(scn)
+            rep_dict = rep.to_dict()
+            # serializing rejects a non-finite number before anything is written
+            text = reporting.canonical_json(reporting.build_report(rep_dict, config=cfg))
+        except (ArithmeticError, ValueError) as exc:
+            # the defaults are valid and run, so the keys given are the ones
+            # to check; the scenario's own message names fields, not keys
+            reason = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+            if given:
+                reason += f" (given {', '.join(f'{key}={cfg[key]!r}' for key in given)})"
+            raise ValueError(reason) from None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -402,14 +384,12 @@ def _cmd_run(args) -> int:
 
     try:
         reporting.ensure_directory(args.out)
-        rep_dict = rep.to_dict()
-        payload = reporting.build_report(rep_dict, config=cfg)
-        reporting.write_report(payload, os.path.join(args.out, "report.json"))
+        reporting.write_report(text, os.path.join(args.out, "report.json"))
         if args.csv:
             rows, columns = entry.csv(rep_dict)
             reporting.write_csv(rows, columns, os.path.join(args.out, "table.csv"))
         if args.plot == "svg":
-            svg = entry.plot(rep_dict, scn)
+            svg = entry.plot(rep_dict)
             with open(
                 os.path.join(args.out, "plot.svg"), "w", encoding="utf-8"
             ) as fh:
@@ -427,12 +407,12 @@ def _cmd_selftest(args) -> int:
     from . import acceptance
 
     results = acceptance.run_all()
-    payload = reporting.build_report(acceptance.results_payload(results))
+    text = reporting.canonical_json(
+        reporting.build_report(acceptance.results_payload(results))
+    )
     try:
         reporting.ensure_directory(args.out)
-        reporting.write_report(
-            payload, os.path.join(args.out, "selftest-report.json")
-        )
+        reporting.write_report(text, os.path.join(args.out, "selftest-report.json"))
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return 1

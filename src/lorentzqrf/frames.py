@@ -47,7 +47,6 @@ from .states import (
     GaussianProfile,
     RapidityGrid,
     RapidityState,
-    SampledProfile,
     Slice,
     boost_state,
     from_spacetime_function,
@@ -270,7 +269,7 @@ def transformed_evolution(
 
 
 def superposed_slice_state(
-    profile: GaussianProfile | SampledProfile,
+    profile: GaussianProfile,
     branches: list[tuple[float, complex]],
     *,
     payload_time: float = 0.0,

@@ -81,11 +81,10 @@ def build_report(body: dict, config: dict | None = None) -> dict:
     return payload
 
 
-def write_report(payload: dict, path: str) -> bytes:
-    data = (canonical_json(payload) + "\n").encode("ascii")
+def write_report(text: str, path: str) -> None:
+    """Write a report's `canonical_json` text, newline-terminated."""
     with open(path, "wb") as fh:
-        fh.write(data)
-    return data
+        fh.write((text + "\n").encode("ascii"))
 
 
 def strip_timestamp(text: str | bytes) -> str:

@@ -9,6 +9,11 @@ Two extraction paths appear throughout and are labeled in the reports:
 "exact-coordinate" entries come from closed-form 2x2 boost algebra and are
 machine-exact; "wave-packet" entries come from discretized states and carry
 fit/grid error.
+
+Each scenario is a frozen dataclass whose `__post_init__` range-checks its
+fields, and every documented `lorentzqrf run` key sets exactly one field.
+A report carries everything its table and plot draw, in `details` and
+`grids`.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ def _quiet_curve_fit(*args, **kwargs):
 
 from . import coordinates as coords
 from .kinematics import boost_point, check_mass, rapidity_of_velocity
-from .frames import BranchedFrameState, superposed_slice_state
-from .measurement import ProbabilityReport
+from .frames import superposed_slice_state
+from .measurement import ProbabilityReport, momentum_density
 from .states import (
     MAX_TIMELIKE_MS,
     Gaussian2D,
@@ -66,7 +71,6 @@ __all__ = [
     "WidthScenario",
     "run_width_contraction",
     "SliceScenario",
-    "slice_scenario_state",
     "run_superposed_slice",
     "BoostSuperpositionScenario",
     "run_boost_superposition",
@@ -243,14 +247,15 @@ def ridge_fit(state: RapidityState, slope_guess: float, intercept_guess: float):
 
 @dataclass(frozen=True)
 class DilationScenario:
-    """Two events on one worldline, watched from a superposed boosted frame.
+    """Two events on one worldline, at t1 and t1 + dt, watched from a
+    superposed boosted frame.
 
     The intervals hold to the fixed relative tolerance 1e-12 in
     "exact-event" mode and 1e-2 in "narrow-gaussian" mode.
     """
 
     t1: float = 0.0
-    t2: float = 1.0
+    dt: float = 1.0
     x0: float = 0.0
     omega1: float = 0.0
     omega2: float = math.log(2.0)
@@ -260,8 +265,10 @@ class DilationScenario:
     grid: RapidityGrid | None = None
 
     def __post_init__(self) -> None:
-        if not self.t2 > self.t1:
-            raise ValueError("t2 must exceed t1")
+        if not self.dt > 0.0:
+            raise ValueError("dt must be positive")
+        if not self.t1 + self.dt > self.t1:  # dt below the float spacing at t1
+            raise ValueError("t1 + dt must exceed t1 in floating point")
         if self.omega1 == self.omega2:
             raise ValueError("branch rapidities must differ")
         if self.mode not in ("exact-event", "narrow-gaussian"):
@@ -275,6 +282,11 @@ class DilationScenario:
         return (self.omega1, self.omega2)
 
     @property
+    def times(self) -> tuple[float, float]:
+        """The two event times, t1 and t1 + dt."""
+        return (self.t1, self.t1 + self.dt)
+
+    @property
     def tolerance(self) -> float:
         return 1e-12 if self.mode == "exact-event" else 1e-2
 
@@ -286,16 +298,16 @@ def _dilation_packet_interval(
     their scans, and the boosted markers' notes."""
     ch, sh = math.cosh(omega), math.sinh(omega)
     scan_width = max(2.0 * scn.mass * scn.sigma**2, scn.sigma) * (ch + abs(sh))
-    if ch * (scn.t2 - scn.t1) < 4.0 * scan_width:
+    if ch * scn.dt < 4.0 * scan_width:
         raise FitError(
             f"sigma {scn.sigma} too large to separate the two events in branch "
             f"omega={omega} (scan width {scan_width:.3g} vs interval "
-            f"{ch * (scn.t2 - scn.t1):.3g})"
+            f"{ch * scn.dt:.3g})"
         )
     centers = []
     scans = {}
     notes = []
-    for tj in (scn.t1, scn.t2):
+    for tj in scn.times:
         marker = from_spacetime_function(
             Gaussian2D(tj, scn.x0, scn.sigma, scn.sigma, energy=scn.mass),
             scn.mass,
@@ -326,22 +338,19 @@ def run_time_dilation(scn: DilationScenario) -> ScenarioReport:
     positions extracted by Gaussian fits of |psi|^2 along the t scan through
     each boosted event.
     """
-    dt = scn.t2 - scn.t1
     checks = []
-    details: dict = {"dt": dt, "mode": scn.mode}
+    details: dict = {"dt": scn.dt, "mode": scn.mode}
     grids: dict = {}
     warnings = []
     if scn.mode == "exact-event":
         for omega in scn.omegas:
-            mapped = [
-                boost_point(-omega, (tj, scn.x0)) for tj in (scn.t1, scn.t2)
-            ]
+            mapped = [boost_point(-omega, (tj, scn.x0)) for tj in scn.times]
             measured = mapped[1].t - mapped[0].t
             checks.append(
                 BranchCheck(
                     label=f"omega={omega:g}",
                     parameter=omega,
-                    predicted=math.cosh(omega) * dt,
+                    predicted=math.cosh(omega) * scn.dt,
                     measured=measured,
                     tolerance=scn.tolerance,
                     path="exact-coordinate",
@@ -358,7 +367,7 @@ def run_time_dilation(scn: DilationScenario) -> ScenarioReport:
                 BranchCheck(
                     label=f"omega={omega:g}",
                     parameter=omega,
-                    predicted=math.cosh(omega) * dt,
+                    predicted=math.cosh(omega) * scn.dt,
                     measured=measured,
                     tolerance=scn.tolerance,
                     path="wave-packet",
@@ -591,10 +600,17 @@ class SliceScenario:
             raise ValueError("branch rapidities must be distinct and nonempty")
 
 
-def slice_scenario_state(scn: SliceScenario) -> BranchedFrameState:
-    """The scenario's payload jumped onto the equal-weight branch superposition."""
+def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
+    """Slope and intercept of each branch's tilted support line.
+
+    Branch omega carries the payload on t = payload_time/cosh(omega)
+    + tanh(omega) x; both numbers are extracted from the rapidity-space
+    amplitudes (peak location and phase fit), not from wavefunction scans.
+    Each ridge is tabulated in `grids` across its branch's support,
+    |x| <= 4 sigma cosh(omega).
+    """
     amp = 1.0 / math.sqrt(len(scn.omegas))
-    return superposed_slice_state(
+    state = superposed_slice_state(
         GaussianProfile(0.0, scn.sigma),
         [(om, amp) for om in scn.omegas],
         payload_time=scn.payload_time,
@@ -604,16 +620,6 @@ def slice_scenario_state(scn: SliceScenario) -> BranchedFrameState:
         payload_mass=scn.payload_mass,
         grid=scn.grid,
     )
-
-
-def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
-    """Slope and intercept of each branch's tilted support line.
-
-    Branch omega carries the payload on t = payload_time/cosh(omega)
-    + tanh(omega) x; both numbers are extracted from the rapidity-space
-    amplitudes (peak location and phase fit), not from wavefunction scans.
-    """
-    state = slice_scenario_state(scn)
     checks = []
     grids: dict = {}
     warnings = []
@@ -729,7 +735,7 @@ def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
                 path="wave-packet",
             )
         )
-        densities[f"omega={omega:g}"] = (np.abs(on_grid.amplitudes) ** 2 / 2.0).tolist()
+        densities[f"omega={omega:g}"] = momentum_density(on_grid).tolist()
         warnings.extend(f"branch omega={omega:g}: {note}" for note in on_grid.notes)
     return ScenarioReport(
         scenario="superposition-of-boosts",
@@ -754,7 +760,7 @@ class InterferenceScenario:
 
     Works in the small-rapidity expansion of the boost matrix,
     Lambda ~ [[1 + w^2/2, -w], [-w, 1 + w^2/2]], with the free Schroedinger
-    propagator as the probe kernel.
+    propagator as the probe kernel.  The probe sits at the event (tp, xp).
     """
 
     x0: float = 0.0
@@ -764,7 +770,8 @@ class InterferenceScenario:
     mass: float = 1.0
     omega1: float = 0.02
     omega2: float = -0.02
-    probe: tuple[float, float] = (5.0, 1.0)
+    tp: float = 5.0
+    xp: float = 1.0
     sign: int = +1
     frame_width: float | None = None
 
@@ -782,7 +789,7 @@ class InterferenceScenario:
         if width is not None and not (math.isfinite(width) and width > 0.0):
             raise ValueError(f"frame_width must be positive and finite, got {width!r}")
         check_mass(self.mass)
-        if abs(self.probe[0] - self.t0) < 1e-9:
+        if abs(self.tp - self.t0) < 1e-9:
             raise ValueError(
                 "probe time coincides with the packet centre: propagator "
                 "singularity at zero elapsed time"
@@ -797,7 +804,7 @@ def interference_amplitude(scn: InterferenceScenario, omega: float) -> complex:
     singularity at t = t', where the closed-form factors stay bounded.
     """
     m, sx, st = scn.mass, scn.sigma_x, scn.sigma_t
-    tp, xp = scn.probe
+    tp, xp = scn.tp, scn.xp
     beta = 1.0 + omega * omega / 2.0
 
     def integrand(t: float) -> complex:
@@ -920,7 +927,8 @@ class CoordinateScenario:
     """Branch-correlated events re-expressed relative to the sharp system.
 
     `amplitudes` holds one (re, im) pair per velocity branch, or None for
-    unit amplitudes; `events` holds one row of (t, x) events per branch.
+    unit amplitudes; `events` holds one row of (t, x) events per branch,
+    at least two per row, since the check compares the first two.
     """
 
     owner: str = "A"
@@ -931,6 +939,13 @@ class CoordinateScenario:
         ((0.0, 0.0), (2.0, 1.0)),
         ((0.0, 0.0), (2.0, 1.0)),
     )
+
+    def __post_init__(self) -> None:
+        short = [len(row) for row in self.events if len(row) < 2]
+        if short:
+            raise ValueError(
+                f"events needs at least two events per branch row, got a row of {short[0]}"
+            )
 
     def state(self) -> coords.JointCoordinateState:
         amps = self.amplitudes
@@ -952,21 +967,20 @@ def run_coordinate_transform(scn: CoordinateScenario) -> ScenarioReport:
     after the controlled frame change (exact to roundoff)."""
     state = scn.state()
     moved = coords.transform_frame(state, scn.owner, scn.target)
+    before = coords.distance_expectation(state, 0, 1)
+    after = coords.distance_expectation(moved, 0, 1)
     checks = []
-    if state.n_events >= 2:
-        before = coords.distance_expectation(state, 0, 1)
-        after = coords.distance_expectation(moved, 0, 1)
-        for branch, b_int, a_int in zip(state.lab, before, after):
-            checks.append(
-                BranchCheck(
-                    label=f"v={branch.v:g}:interval",
-                    parameter=branch.v,
-                    predicted=b_int.value,
-                    measured=a_int.value,
-                    tolerance=1e-12,
-                    path="exact-coordinate",
-                )
+    for branch, b_int, a_int in zip(state.lab, before, after):
+        checks.append(
+            BranchCheck(
+                label=f"v={branch.v:g}:interval",
+                parameter=branch.v,
+                predicted=b_int.value,
+                measured=a_int.value,
+                tolerance=1e-12,
+                path="exact-coordinate",
             )
+        )
     before_dict, after_dict = coords.state_to_dict(state), coords.state_to_dict(moved)
     return ScenarioReport(
         scenario="coordinate-transform",

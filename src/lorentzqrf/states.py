@@ -20,6 +20,11 @@ carried by the same measure,
 is the conserved (Klein-Gordon) product: for equal-time wavefunctions it
 equals (i/2pi) integral dx (psi* d_t phi - (d_t psi*) phi).
 
+`from_spacetime_function` prepares a state from a Gaussian spacetime
+function: a `Gaussian2D` packet, or a `GaussianProfile` on an equal-time
+`Slice` or a `TiltedSlice`.  Each has a closed-form transform, evaluated on
+shell, and every such state is normalizable.
+
 Every spectral sum of the wavefunction's form (wavefunctions, gridded
 wavefunctions, slice profiles, the lattice propagator) goes through one
 kernel, `_synthesize`.  It sums only over the smallest index window holding
@@ -72,12 +77,9 @@ __all__ = [
     "RapidityGrid",
     "RapidityState",
     "GaussianProfile",
-    "SampledProfile",
     "Gaussian2D",
     "Slice",
     "TiltedSlice",
-    "PointEvent",
-    "SampledFunction",
     "PropagatorQuery",
     "from_spacetime_function",
     "wavefunction",
@@ -187,28 +189,6 @@ class GaussianProfile:
 
 
 @dataclass(frozen=True)
-class SampledProfile:
-    """Spatial profile given by samples on an increasing x grid."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        if x.ndim != 1 or v.shape != x.shape or x.size < 2:
-            raise ValueError("samples need matching 1-d x/values arrays")
-        if np.any(np.diff(x) <= 0.0):
-            raise ValueError("sample abscissae must be strictly increasing")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", v)
-
-    def fourier(self, p: np.ndarray) -> np.ndarray:
-        w = _trapezoid_weights(self.x)
-        return np.exp(-1j * np.outer(p, self.x)) @ (w * self.values)
-
-
-@dataclass(frozen=True)
 class Gaussian2D:
     """Unconstrained spacetime Gaussian exp(-(t-t0)^2/4st^2 - (x-x0)^2/4sx^2)
     carrying optional central phases exp(-i energy (t-t0) + i momentum (x-x0))."""
@@ -248,7 +228,7 @@ class Slice:
     """Equal-time preparation delta(t - t0) phi(x)."""
 
     t0: float
-    profile: GaussianProfile | SampledProfile
+    profile: GaussianProfile
 
     def transform(self, e: np.ndarray, p: np.ndarray) -> np.ndarray:
         return np.exp(1j * e * self.t0) * self.profile.fourier(p)
@@ -260,7 +240,7 @@ class TiltedSlice:
 
     t0: float
     tilt: float
-    profile: GaussianProfile | SampledProfile
+    profile: GaussianProfile
 
     def __post_init__(self) -> None:
         if abs(self.tilt) >= 1.0:
@@ -270,57 +250,7 @@ class TiltedSlice:
         return np.exp(1j * e * self.t0) * self.profile.fourier(p - self.tilt * e)
 
 
-@dataclass(frozen=True)
-class PointEvent:
-    """Delta preparation at a single event; yields an improper state."""
-
-    t0: float
-    x0: float
-
-    def transform(self, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.exp(1j * (e * self.t0 - p * self.x0))
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Spacetime samples f[r, c] on the grid (t[r], x[c]); trapezoid transform."""
-
-    t: np.ndarray
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
-        x = np.asarray(self.x, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        if t.ndim != 1 or x.ndim != 1 or v.shape != (t.size, x.size):
-            raise ValueError("values must have shape (len(t), len(x))")
-        if t.size < 2 or x.size < 2:
-            raise ValueError("sampled function needs at least 2x2 samples")
-        if np.any(np.diff(t) <= 0.0) or np.any(np.diff(x) <= 0.0):
-            raise ValueError("sample abscissae must be strictly increasing")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", v)
-
-    def transform(self, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-        wt = _trapezoid_weights(self.t)
-        wx = _trapezoid_weights(self.x)
-        inner = (self.values * wx[None, :]) @ np.exp(-1j * np.outer(self.x, p))
-        return np.einsum("r,rj->j", wt + 0j, np.exp(1j * np.outer(self.t, e)) * inner)
-
-
-SpacetimeFunction = (
-    Gaussian2D | Slice | TiltedSlice | PointEvent | SampledFunction
-)
-
-
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.empty_like(x)
-    w[1:-1] = (x[2:] - x[:-2]) / 2.0
-    w[0] = (x[1] - x[0]) / 2.0
-    w[-1] = (x[-1] - x[-2]) / 2.0
-    return w
+SpacetimeFunction = Gaussian2D | Slice | TiltedSlice
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +263,6 @@ _WINDOW_CUT = 1e-16  # relative amplitude below which sites leave spectral sums
 class RapidityState:
     """Amplitudes over a rapidity grid for a particle of fixed mass.
 
-    `proper` is False for non-normalizable preparations (point events);
     `notes` accumulates non-fatal diagnostics (support truncation).
     Amplitude j sits at rapidity grid.thetas[j] + origin.
     """
@@ -341,7 +270,6 @@ class RapidityState:
     grid: RapidityGrid
     mass: float
     amplitudes: np.ndarray
-    proper: bool = True
     notes: tuple[str, ...] = field(default=())
     origin: float = 0.0
 
@@ -421,17 +349,11 @@ def from_spacetime_function(
     """
     grid = grid or RapidityGrid.default()
     mass = check_mass(mass)
-    th = grid.thetas
-    e, p = mass * np.cosh(th), mass * np.sinh(th)
-    if isinstance(f, (Slice, TiltedSlice, Gaussian2D, PointEvent, SampledFunction)):
-        a = f.transform(e, p)
-    else:
+    if not isinstance(f, (Gaussian2D, Slice, TiltedSlice)):
         raise TypeError(f"not a spacetime preparation: {f!r}")
-    proper = not isinstance(f, PointEvent)
-    notes = _support_notes(grid, a)
-    if not proper:
-        notes = notes + ("point-event preparation yields an improper state",)
-    return RapidityState(grid, mass, a, proper=proper, notes=notes)
+    th = grid.thetas
+    a = f.transform(mass * np.cosh(th), mass * np.sinh(th))
+    return RapidityState(grid, mass, a, notes=_support_notes(grid, a))
 
 
 _BLOCK_ENTRIES = 1 << 19  # phase entries per block of a spectral sum (8 MiB complex)
@@ -676,8 +598,6 @@ def kg_norm(state: RapidityState) -> float:
 
 
 def normalize(state: RapidityState) -> RapidityState:
-    if not state.proper:
-        raise ValueError("cannot normalize an improper (point-event) state")
     n = kg_norm(state)
     if not (n > 0.0 and math.isfinite(n)):
         raise ValueError(f"cannot normalize state with norm {n!r}")

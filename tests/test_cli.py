@@ -362,9 +362,42 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
         ("time-dilation", "dt=NaN", "dt must be finite, got nan"),
         ("length-contraction", "tb=[0.6]", "tb needs a list of 2 values"),
         ("coordinate-transform", "owner=1", "owner must be a string, got 1"),
-        ("time-dilation", "dt=-1", "t2 must exceed t1 (given dt=-1.0)"),
+        ("time-dilation", "dt=-1", "dt must be positive (given dt=-1.0)"),
+        (
+            "time-dilation",
+            "t1=1e20",
+            "t1 + dt must exceed t1 in floating point (given t1=1e+20)",
+        ),
         ("propagator-table", "m=-1", "mass must be positive, got -1.0 (given m=-1.0)"),
         ("nonrel-interference", "sx=0", "packet widths must be positive (given sx=0.0)"),
+        # values the scenario accepts but cannot run with
+        ("time-dilation", "w2=800", "OverflowError: math range error (given w2=800.0)"),
+        (
+            "width-contraction",
+            "omegas=[800]",
+            "OverflowError: math range error (given omegas=(800.0,))",
+        ),
+        (
+            "superposed-slice",
+            "omegas=[800]",
+            "OverflowError: math range error (given omegas=(800.0,))",
+        ),
+        ("width-contraction", "sigma=1e300", "OverflowError: (34, "),
+        (
+            "superposed-slice",
+            "payload_mass=-1",
+            "mass must be positive, got -1.0 (given payload_mass=-1.0)",
+        ),
+        (
+            "coordinate-transform",
+            "events=[[[1e308,0],[-1e308,0]],[[0,0],[1,1]]]",
+            "reports may not contain non-finite numbers, got nan (given events=",
+        ),
+        (
+            "coordinate-transform",
+            "events=[[[0,0]],[[0,0]]]",
+            "events needs at least two events per branch row, got a row of 1",
+        ),
     ],
 )
 def test_run_rejects_bad_values_naming_the_key(
@@ -493,7 +526,28 @@ def test_run_slice_scenario_with_plot(tmp_path):
     )
     assert code == 0
     svg = (tmp_path / "plot.svg").read_text()
-    assert svg.startswith('<?xml') and "stroke-dasharray" in svg
+    payload = json.loads(_read_report(tmp_path / "report.json"))
+    # one fitted ridge per branch
+    assert svg.startswith("<?xml")
+    assert svg.count("<polyline") == len(payload["grids"]) == 2
+
+
+# the default of every scenario, and the wave-packet path of time dilation
+ARTIFACT_RUNS = [(name, []) for name in sorted(DOCUMENTED_DEFAULTS)] + [
+    ("time-dilation", ["--set", "mode=narrow-gaussian"])
+]
+
+
+@pytest.mark.parametrize("name, extra", ARTIFACT_RUNS)
+def test_tables_and_plots_come_from_the_report_alone(tmp_path, name, extra):
+    argv = ["run", "--scenario", name, *extra, "--out", str(tmp_path)]
+    assert cli.main(argv + ["--csv", "--plot", "svg"]) == 0
+    rep = json.loads(_read_report(tmp_path / "report.json"))
+    entry = cli.SCENARIOS[name]
+    assert entry.plot(rep) == (tmp_path / "plot.svg").read_text()
+    rows, columns = entry.csv(rep)
+    table = "\n".join(reporting.csv_lines(rows, columns)) + "\n"
+    assert table == (tmp_path / "table.csv").read_text()
 
 
 def test_run_boosts_scalar_omega_coerced(tmp_path):

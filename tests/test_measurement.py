@@ -10,10 +10,8 @@ from scipy.integrate import quad
 
 from lorentzqrf.measurement import (
     ProbabilityReport,
-    RegionPovm,
     momentum_density,
     region_probability,
-    spacelike_overlap,
 )
 from lorentzqrf.states import (
     Gaussian2D,
@@ -91,22 +89,12 @@ def test_region_probability_against_quadrature(grid):
     assert region_probability(a, b).value == pytest.approx(expect, rel=1e-10)
 
 
-def test_spacelike_overlap_positive(grid):
-    out = spacelike_overlap(sigma=1.0, mass=1.0, grid=grid)
-    assert out["interval_kind"] == "spacelike"
-    assert out["separation"] == 6.0
-    assert out["probability"] > 0.0
-    # wider separation still fires, just less often
-    far = spacelike_overlap(sigma=1.0, separation=10.0, mass=1.0, grid=grid)
-    assert 0.0 < far["probability"] < out["probability"]
-
-
 def test_povm_wrapper_and_report_fields(grid):
     rng = np.random.default_rng(4)
     f = _packet(rng, grid)
-    povm = RegionPovm.from_function(Slice(0.0, GaussianProfile(0.0, 1.0)), 1.0, grid)
-    assert kg_inner(povm.state, povm.state).real == pytest.approx(1.0, abs=1e-12)
-    rep = region_probability(povm, f)
+    # an unnormalized detector state: region_probability normalizes it
+    detector = from_spacetime_function(Slice(0.0, GaussianProfile(0.0, 1.0)), 1.0, grid)
+    rep = region_probability(detector, f)
     overlap = complex(rep.components["overlap_re"], rep.components["overlap_im"])
     assert rep.value == pytest.approx(abs(overlap) ** 2, rel=1e-12)
     with pytest.raises(ValueError):

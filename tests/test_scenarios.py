@@ -89,7 +89,7 @@ def test_dilation_exact_random_sweep():
         if om1 == om2:
             continue
         rep = run_time_dilation(
-            DilationScenario(t1=t1, t2=t1 + dt, x0=x0, omega1=om1, omega2=om2)
+            DilationScenario(t1=t1, dt=dt, x0=x0, omega1=om1, omega2=om2)
         )
         for check in rep.branches:
             gamma = math.cosh(check.parameter)
@@ -98,12 +98,12 @@ def test_dilation_exact_random_sweep():
 
 
 def test_dilation_exact_matches_matrix_oracle():
-    scn = DilationScenario(t1=0.2, t2=1.7, x0=-0.4, omega1=0.3, omega2=-1.1)
+    scn = DilationScenario(t1=0.2, dt=1.5, x0=-0.4, omega1=0.3, omega2=-1.1)
     rep = run_time_dilation(scn)
     for check in rep.branches:
         lam = boost_matrix(-check.parameter)
         ev1 = lam @ np.array([scn.t1, scn.x0])
-        ev2 = lam @ np.array([scn.t2, scn.x0])
+        ev2 = lam @ np.array([scn.t1 + scn.dt, scn.x0])
         assert check.measured == pytest.approx(ev2[0] - ev1[0], abs=1e-15)
 
 
@@ -127,7 +127,7 @@ def test_dilation_packet_mode_within_one_percent():
 
 def test_dilation_validation_errors():
     with pytest.raises(ValueError):
-        DilationScenario(t1=1.0, t2=1.0)
+        DilationScenario(t1=1.0, dt=0.0)
     with pytest.raises(ValueError):
         DilationScenario(omega1=0.5, omega2=0.5)
     with pytest.raises(ValueError):
@@ -356,7 +356,7 @@ def _oracle_amplitude(scn, omega, eps=1.0, nt=3500, nx=1400):
     and t adaptively on the real axis.
     """
     m, sx, st = scn.mass, scn.sigma_x, scn.sigma_t
-    tp, xp = scn.probe
+    tp, xp = scn.tp, scn.xp
     beta = 1.0 + omega * omega / 2.0
 
     tn, tw = _leggauss(nt)
@@ -445,7 +445,7 @@ def test_interference_validation_errors():
     with pytest.raises(ValueError):
         InterferenceScenario(sigma_x=0.0)
     with pytest.raises(ValueError, match="singularity"):
-        InterferenceScenario(probe=(0.0, 1.0))
+        InterferenceScenario(tp=0.0)
     for width in (0.0, -0.05, math.inf, math.nan):
         with pytest.raises(ValueError, match="frame_width"):
             InterferenceScenario(frame_width=width)

@@ -28,12 +28,9 @@ from lorentzqrf.kinematics import SpacetimePoint, boost_point
 from lorentzqrf.states import (
     Gaussian2D,
     GaussianProfile,
-    PointEvent,
     PropagatorQuery,
     RapidityGrid,
     RapidityState,
-    SampledFunction,
-    SampledProfile,
     Slice,
     TiltedSlice,
     boost_state,
@@ -157,36 +154,6 @@ def test_tilted_slice_against_quadrature(grid):
         assert abs(s.amplitudes[j] - val) < 1e-10 * max(1.0, abs(val))
     with pytest.raises(ValueError):
         TiltedSlice(0.0, 1.0, prof)
-
-
-def test_point_event_improper(grid):
-    s = from_spacetime_function(PointEvent(0.5, -0.2), 1.0, grid)
-    assert not s.proper
-    assert np.allclose(np.abs(s.amplitudes), 1.0)
-    assert any("improper" in n for n in s.notes)
-    with pytest.raises(ValueError):
-        normalize(s)
-
-
-def test_sampled_function_matches_closed_form(grid):
-    f = Gaussian2D(t0=0.1, x0=0.2, sigma_t=0.8, sigma_x=0.8, energy=1.2)
-    ts = np.linspace(-8.0, 8.3, 421)
-    xs = np.linspace(-8.5, 8.0, 421)
-    vals = f(ts[:, None], xs[None, :])
-    sf = from_spacetime_function(SampledFunction(ts, xs, vals), 1.0, grid)
-    sc = from_spacetime_function(f, 1.0, grid)
-    keep = np.abs(grid.thetas) < 3.0  # closed form below sampling noise elsewhere
-    assert np.max(np.abs(sf.amplitudes - sc.amplitudes)[keep]) < 1e-9
-
-
-def test_sampled_profile_matches_gaussian(grid):
-    xs = np.linspace(-9.0, 9.0, 1201)
-    prof = GaussianProfile(0.4, 1.1, momentum=0.3)
-    sp = SampledProfile(xs, prof(xs))
-    s1 = from_spacetime_function(Slice(0.0, sp), 1.0, grid)
-    s2 = from_spacetime_function(Slice(0.0, prof), 1.0, grid)
-    keep = np.abs(grid.thetas) < 3.0
-    assert np.max(np.abs(s1.amplitudes - s2.amplitudes)[keep]) < 1e-6
 
 
 def test_support_truncation_note(grid):
