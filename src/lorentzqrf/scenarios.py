@@ -251,7 +251,9 @@ class DilationScenario:
     superposed boosted frame.
 
     The intervals hold to the fixed relative tolerance 1e-12 in
-    "exact-event" mode and 1e-2 in "narrow-gaussian" mode.
+    "exact-event" mode and 1e-2 in "narrow-gaussian" mode.  Exact-event mode
+    rejects a t1 so far from 0, for its dt, that rounding the boosted event
+    times alone could exceed that tolerance.
     """
 
     t1: float = 0.0
@@ -273,6 +275,19 @@ class DilationScenario:
             raise ValueError("branch rapidities must differ")
         if self.mode not in ("exact-event", "narrow-gaussian"):
             raise ValueError(f"unknown dilation mode {self.mode!r}")
+        if self.mode == "exact-event":
+            # the boosted event times round at about one ulp of their size,
+            # which must stay inside the check's tolerance on their difference
+            for omega in self.omegas:
+                ch, sh = math.cosh(abs(omega)), math.sinh(abs(omega))
+                rounding = math.ulp(ch * (abs(self.t1) + self.dt) + sh * abs(self.x0))
+                allowed = self.tolerance * ch * self.dt
+                if rounding > allowed:
+                    raise ValueError(
+                        f"t1 too far from 0 for dt: in branch omega={omega:g} the "
+                        f"boosted event times round at {rounding:.2g}, above "
+                        f"the {allowed:.2g} the exact-event check allows"
+                    )
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
         check_mass(self.mass)

@@ -65,6 +65,7 @@ see `propagator`.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -175,6 +176,12 @@ class GaussianProfile:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0 or not math.isfinite(self.sigma):
             raise ValueError("profile sigma must be positive and finite")
+        limit = math.sqrt(sys.float_info.max)
+        if self.sigma > limit:
+            raise ValueError(
+                f"profile sigma must be at most {limit:.4g}, where sigma**2 "
+                f"still fits a float, got {self.sigma!r}"
+            )
 
     def fourier(self, p: np.ndarray) -> np.ndarray:
         """integral dx exp(-i p x) phi(x)."""

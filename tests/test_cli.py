@@ -382,7 +382,19 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
             "omegas=[800]",
             "OverflowError: math range error (given omegas=(800.0,))",
         ),
-        ("width-contraction", "sigma=1e300", "OverflowError: (34, "),
+        (
+            "width-contraction",
+            "sigma=1e300",
+            "profile sigma must be at most 1.341e+154, where sigma**2 still fits a "
+            "float, got 1e+300 (given sigma=1e+300)",
+        ),
+        (
+            "time-dilation",
+            "t1=123456.789 dt=0.1 w2=0.7",
+            "t1 too far from 0 for dt: in branch omega=0 the boosted event times "
+            "round at 1.5e-11, above the 1e-13 the exact-event check allows "
+            "(given t1=123456.789, dt=0.1, w2=0.7)",
+        ),
         (
             "superposed-slice",
             "payload_mass=-1",
@@ -403,11 +415,13 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
 def test_run_rejects_bad_values_naming_the_key(
     tmp_path, capsys, scenario, setting, message
 ):
-    code = cli.main(
-        ["run", "--scenario", scenario, "--set", setting, "--out", str(tmp_path)]
-    )
+    sets = [arg for pair in setting.split() for arg in ("--set", pair)]
+    code = cli.main(["run", "--scenario", scenario, *sets, "--out", str(tmp_path)])
     assert code == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    # a range check names the key instead of surfacing a bare OverflowError
+    assert ("OverflowError" in err) == ("OverflowError" in message)
     assert not (tmp_path / "report.json").exists()
 
 

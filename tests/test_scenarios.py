@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lorentzqrf.acceptance import _leggauss
+from lorentzqrf.acceptance import _contour_oracle_amplitudes
 from lorentzqrf.kinematics import boost_matrix, rapidity_of_velocity
 from lorentzqrf.scenarios import (
     BoostSuperpositionScenario,
@@ -344,46 +344,14 @@ def test_boost_superposition_grids_shape():
 # non-relativistic interference
 
 
-def _oracle_amplitude(scn, omega, eps=1.0, nt=3500, nx=1400):
-    """Tensor Gauss-Legendre quadrature of the full 2-D probe overlap on the
-    rotated contour t -> t - i*eps.
-
-    The integrand is analytic in the lower half t-strip (the packet is
-    entire; the kernel branch point sits on the upper imaginary axis of the
-    elapsed time), so the shifted contour keeps the value while turning the
-    kernel's spatial oscillation into a Gaussian damping.  Completely
-    independent of the production route, which integrates x in closed form
-    and t adaptively on the real axis.
-    """
-    m, sx, st = scn.mass, scn.sigma_x, scn.sigma_t
-    tp, xp = scn.tp, scn.xp
-    beta = 1.0 + omega * omega / 2.0
-
-    tn, tw = _leggauss(nt)
-    xn, xw = _leggauss(nx)
-    t_lo, t_hi = scn.t0 - 14.0 * st, scn.t0 + 14.0 * st
-    x_lo, x_hi = scn.x0 - 18.0 * sx, scn.x0 + 18.0 * sx
-    ts = 0.5 * (t_hi + t_lo) + 0.5 * (t_hi - t_lo) * tn - 1j * eps
-    tw = 0.5 * (t_hi - t_lo) * tw
-    xs = 0.5 * (x_hi + x_lo) + 0.5 * (x_hi - x_lo) * xn
-    xw = 0.5 * (x_hi - x_lo) * xw
-
-    T = ts[:, None]
-    X = xs[None, :]
-    packet = np.exp(
-        -((beta * X - omega * T - scn.x0) ** 2) / (4 * sx * sx)
-        - ((beta * T - omega * X - scn.t0) ** 2) / (4 * st * st)
-    )
-    d = T - tp
-    kernel = np.sqrt(m / (1j * d)) * np.exp(1j * m * (X - xp) ** 2 / (2 * d))
-    return complex(tw @ (packet * kernel) @ xw)
-
-
 def test_interference_amplitudes_match_contour_oracle():
+    """The production route against the 2-D contour quadrature at a finer
+    resolution than criterion 9 uses."""
     scn = InterferenceScenario()
-    for om in (scn.omega1, scn.omega2):
+    omegas = (scn.omega1, scn.omega2)
+    oracles = _contour_oracle_amplitudes(scn, omegas, nt=3500, nx=1400)
+    for om, oracle in zip(omegas, oracles):
         prod = interference_amplitude(scn, om)
-        oracle = _oracle_amplitude(scn, om)
         assert abs(prod - oracle) / abs(oracle) < 1e-6
 
 
