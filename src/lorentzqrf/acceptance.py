@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .states import (
     PropagatorQuery,
     RapidityGrid,
     Slice,
+    _leggauss,
     boost_state,
     from_spacetime_function,
     kg_equation_residual,
@@ -482,33 +482,6 @@ def criterion_8() -> CriterionResult:
             "kinds_preserved": kinds_kept,
         },
     )
-
-
-@lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton iteration on P_n for all nodes at once, from Tricomi's initial
-    guesses, with P_n and P_n' from the three-term recurrence: O(n^2) work
-    where leggauss's eigenproblem is O(n^3).  Three sweeps converge.
-    """
-    theta = math.pi * (4 * np.arange(n, 0, -1) - 1) / (4 * n + 2)
-    x = np.cos(theta) * (
-        1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)
-    )
-    for _ in range(10):
-        p_prev, p = np.ones(n), x
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) <= 1e-16:
-            break
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    nodes, weights = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0  # symmetric, as leggauss
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 def _contour_oracle_amplitudes(

@@ -197,8 +197,10 @@ def branch_overlap_matrix(state: BranchedFrameState) -> np.ndarray:
 
     The composite factorizes into (sharp system) x (payloads) exactly when
     the normalized G has rank one, e.g. when all branches carry identical
-    payload states.  A payload column whose branches sit on different
-    origins is resampled once per payload, not once per pair.
+    payload states.  Each payload column (one mass and grid, checked at
+    construction) is one weighted Gram product (conj(A) w) A^T of its
+    amplitude rows A; a column whose branches sit on different origins is
+    resampled once per payload first.
     """
     n = len(state.branches)
     g = np.ones((n, n), dtype=complex)
@@ -206,8 +208,8 @@ def branch_overlap_matrix(state: BranchedFrameState) -> np.ndarray:
         col = [row[k] for row in state.payloads]
         if len({p.origin for p in col}) > 1:
             col = [resample(p) for p in col]
-        for i, j in np.ndindex(n, n):
-            g[i, j] *= kg_inner(col[i], col[j])
+        amps = np.array([p.amplitudes for p in col])
+        g *= (np.conj(amps) * col[0].weights) @ amps.T
     return g
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
 
@@ -126,6 +127,16 @@ class BranchCheck:
             "path": self.path,
             "pass": self.passed,
         }
+
+
+def _named_checks(
+    prefix: str, parameter: float, tolerance: float, path: str, **named: tuple
+) -> list[BranchCheck]:
+    """One check per name=(predicted, measured), labelled prefix:name, in order."""
+    return [
+        BranchCheck(f"{prefix}:{name}", parameter, predicted, measured, tolerance, path)
+        for name, (predicted, measured) in named.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -469,25 +480,9 @@ def run_length_contraction(scn: ContractionScenario) -> ScenarioReport:
         own = branch_events[own_pair]
         dt_prime = own[1][0] - own[0][0]
         dx_prime = own[1][1] - own[0][1]
-        checks.append(
-            BranchCheck(
-                label=f"{branch_name}:length",
-                parameter=v,
-                predicted=dx / gamma,
-                measured=dx_prime,
-                tolerance=scn.tolerance,
-                path="exact-coordinate",
-            )
-        )
-        checks.append(
-            BranchCheck(
-                label=f"{branch_name}:simultaneity",
-                parameter=v,
-                predicted=0.0,
-                measured=dt_prime,
-                tolerance=scn.tolerance,
-                path="exact-coordinate",
-            )
+        checks += _named_checks(
+            branch_name, v, scn.tolerance, "exact-coordinate",
+            length=(dx / gamma, dx_prime), simultaneity=(0.0, dt_prime),
         )
         grids[f"v={v:g}"] = branch_events
         details[f"branch_{branch_name}"] = {
@@ -643,25 +638,9 @@ def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
         slope_pred = math.tanh(omega)
         intercept_pred = scn.payload_time / math.cosh(omega)
         slope, intercept = ridge_fit(pay, slope_pred, intercept_pred)
-        checks.append(
-            BranchCheck(
-                label=f"omega={omega:g}:slope",
-                parameter=omega,
-                predicted=slope_pred,
-                measured=slope,
-                tolerance=scn.tolerance,
-                path="wave-packet",
-            )
-        )
-        checks.append(
-            BranchCheck(
-                label=f"omega={omega:g}:intercept",
-                parameter=omega,
-                predicted=intercept_pred,
-                measured=intercept,
-                tolerance=scn.tolerance,
-                path="wave-packet",
-            )
+        checks += _named_checks(
+            f"omega={omega:g}", omega, scn.tolerance, "wave-packet",
+            slope=(slope_pred, slope), intercept=(intercept_pred, intercept),
         )
         span = 4.0 * scn.sigma * math.cosh(omega)
         xs = np.linspace(-span, span, 41)
@@ -730,25 +709,9 @@ def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
         on_grid = resample(comp)  # the sum and densities share the grid's thetas
         total += amp * on_grid.amplitudes
         peak = rapidity_peak_fit(comp, omega)
-        checks.append(
-            BranchCheck(
-                label=f"omega={omega:g}:peak",
-                parameter=omega,
-                predicted=omega,
-                measured=peak,
-                tolerance=scn.tolerance,
-                path="wave-packet",
-            )
-        )
-        checks.append(
-            BranchCheck(
-                label=f"omega={omega:g}:velocity",
-                parameter=omega,
-                predicted=math.tanh(omega),
-                measured=math.tanh(peak),
-                tolerance=scn.tolerance,
-                path="wave-packet",
-            )
+        checks += _named_checks(
+            f"omega={omega:g}", omega, scn.tolerance, "wave-packet",
+            peak=(omega, peak), velocity=(math.tanh(omega), math.tanh(peak)),
         )
         densities[f"omega={omega:g}"] = momentum_density(on_grid).tolist()
         warnings.extend(f"branch omega={omega:g}: {note}" for note in on_grid.notes)
@@ -1013,8 +976,8 @@ def run_coordinate_transform(scn: CoordinateScenario) -> ScenarioReport:
 class PropagatorTableScenario:
     """W(dt, 0) and W(0, dx) at separations step, 2 step, ..., steps step.
 
-    m*step*steps is held to the continuum propagator's accuracy bound
-    `states.MAX_TIMELIKE_MS`, and steps to MAX_STEPS (a table of seconds).
+    m*step*steps is held to the continuum propagator's cost bound
+    `states.MAX_TIMELIKE_MS`, and steps to MAX_STEPS (about 40 s at both).
     """
 
     MAX_STEPS = 10_000
@@ -1029,8 +992,12 @@ class PropagatorTableScenario:
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
         if not 1 <= self.steps <= self.MAX_STEPS:
             raise ValueError(f"steps must be in 1..{self.MAX_STEPS}, got {self.steps}")
-        # the propagator squares the largest separation step*steps and scales
-        # its square root by m
+        # a subnormal step**2 has lost bits, and 0 reads as lightlike
+        if self.step * self.step < sys.float_info.min:
+            raise ValueError(
+                f"step must be at least {math.sqrt(sys.float_info.min):.4g}, where "
+                f"step**2 is still a normal float, got {self.step!r}"
+            )
         reach = self.step * self.steps
         if not (math.isfinite(reach * reach) and math.isfinite(self.mass * reach)):
             raise ValueError(
@@ -1040,7 +1007,7 @@ class PropagatorTableScenario:
         if self.mass * reach > MAX_TIMELIKE_MS:
             raise ValueError(
                 f"m*step*steps = {self.mass * reach!r} exceeds {MAX_TIMELIKE_MS:g}, "
-                "beyond which the propagator quadrature loses accuracy"
+                "beyond which the propagator's panel count grows too costly"
             )
 
 

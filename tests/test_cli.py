@@ -331,6 +331,25 @@ def test_run_propagator_table_csv_matches_closed_forms(tmp_path):
     assert abs(rows[(0.0, 1.0)] - want_s) / want_s < 1e-6
 
 
+def test_run_propagator_table_at_tiny_mass_and_step(tmp_path):
+    from scipy.special import hankel2, k0  # oracle
+
+    code = cli.main(
+        [
+            "run", "--scenario", "propagator-table", "--set", "m=1e-200",
+            "--set", "step=1e-100", "--out", str(tmp_path), "--csv",
+        ]
+    )
+    assert code == 0
+    lines = (tmp_path / "table.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 12
+    for line in lines[1:]:
+        dt, dx, re, im = map(float, line.split(","))
+        z = 1e-200 * max(dt, dx)
+        want = -0.5j * math.pi * complex(hankel2(0, z)) if dt else complex(k0(z))
+        assert abs(complex(re, im) - want) <= 1e-10 * abs(want)
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [
@@ -354,6 +373,12 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
         ("propagator-table", "steps=2.7", "steps must be an integer, got 2.7"),
         ("propagator-table", "steps=100000000", "steps must be in 1..10000"),
         ("propagator-table", "m=1e300", "m*step*steps = 3e+300 exceeds"),
+        (
+            "propagator-table",
+            "step=1e-200",
+            "step must be at least 1.492e-154, where step**2 is still a normal "
+            "float, got 1e-200 (given step=1e-200)",
+        ),
         ("nonrel-interference", "sign=1.5", "sign must be an integer, got 1.5"),
         ("nonrel-interference", "frame_width=0", "frame_width must be positive"),
         ("width-contraction", "sigma=true", "sigma must be a number, got True"),

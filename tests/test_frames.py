@@ -166,6 +166,38 @@ def test_branch_overlap_matrix_product_detection(grid):
     assert s2[0] / np.sum(s2) < 1.0 - 1e-6
 
 
+def test_branch_overlap_matrix_matches_pairwise_kg_inner(grid):
+    # K = 16 branches; one payload column mixes lattice and off-lattice
+    # origins (resampled), the other shares one off-lattice origin
+    rng = np.random.default_rng(195)
+    k = 16
+    step = grid.step
+    mixed = [
+        boost_state(_random_packet(rng, grid), (i * step) if i % 2 else rng.uniform(-0.4, 0.4))
+        for i in range(k)
+    ]
+    shared = [boost_state(_random_packet(rng, grid), 0.37 * step) for _ in range(k)]
+    state = BranchedFrameState(
+        frame="C",
+        frame_mass=1.0,
+        branch_system="A",
+        branches=tuple(SharpBranch(0.1 * i - 0.75, 1.0, 2.0) for i in range(k)),
+        payload_labels=("B", "D"),
+        payloads=tuple(zip(mixed, shared)),
+    )
+    g = branch_overlap_matrix(state)
+    # pairwise products, with the mixed column met on the lattice once, as G
+    # defines it (kg_inner alone would skip resampling a pair on one origin)
+    want = np.ones((k, k), dtype=complex)
+    mixed_col = [resample(row[0]) for row in state.payloads]
+    for col in (mixed_col, [row[1] for row in state.payloads]):
+        for i, j in np.ndindex(k, k):
+            want[i, j] *= kg_inner(col[i], col[j])
+    scale = np.max(np.abs(g))
+    assert np.max(np.abs(g - want)) <= 1e-14 * scale
+    assert np.max(np.abs(g - g.conj().T)) <= 1e-14 * scale
+
+
 # ---------------------------------------------------------------------------
 # change_frame
 

@@ -602,6 +602,32 @@ def test_propagator_spacelike_positive():
         assert w.real > 0.0
 
 
+@pytest.mark.parametrize("center", [2193.3, 2904.0, 4072.1])
+def test_propagator_where_adaptive_quadrature_misconverged(center):
+    # adaptive quadrature (QAGS) was off by 9.4e-5 at m*s = 2193.3 and 8.7e-3
+    # at 2904.0, in spikes narrower than 0.01; scan across each in 0.001 steps
+    for z in center + 0.001 * np.arange(-25, 26):
+        w = propagator(PropagatorQuery(1.0, 0.0, float(z)))
+        o = _oracle_propagator(1.0, 0.0, float(z))
+        assert abs(w - o) < 1e-10 * abs(o)
+
+
+def test_propagator_across_scales():
+    # both time directions and spacelike separations, m*s from 1e-150 (where
+    # W ~ -log(m s)) up to the timelike cap (K0 underflows to 0 past ~745)
+    for z in np.logspace(-150.0, math.log10(states.MAX_TIMELIKE_MS), 100):
+        for dt, dx in [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)]:
+            w = propagator(PropagatorQuery(dt, dx, float(z)))
+            o = _oracle_propagator(dt, dx, float(z))
+            assert abs(w - o) <= 1e-10 * abs(o)
+    # where m*s overflows, the spacelike value underflows to 0
+    assert propagator(PropagatorQuery(0.0, 1e300, 1e300)) == 0.0
+    # below about 2e-307 the tails' cut 40/(m s) would overflow
+    for dt, dx in [(1e-160, 0.0), (0.0, 1e-160)]:
+        with pytest.raises(ValueError, match="tail cut"):
+            propagator(PropagatorQuery(dt, dx, 1e-160))
+
+
 def test_propagator_timelike_bound():
     # accurate at the bound, in either time direction and through m or s
     bound = states.MAX_TIMELIKE_MS
