@@ -8,10 +8,11 @@ frame changes) are built on top of that representation.
 
 Layout:
 
-- `kinematics`: classical boosts, intervals, rapidity/velocity/momentum maps.
+- `kinematics`: events, classical boosts, invariant intervals, the mass check
+  and the velocity-to-rapidity map.
 - `states`: rapidity-grid states, preparation from Gaussian spacetime
   functions, exact boosts (origin moves), resampling onto the grid,
-  translations, the positive-energy two-point function.
+  translations, the continuum positive-energy two-point function.
 - `measurement`: detection probabilities between states and momentum
   densities.
 - `frames`: branched reference-frame states, frame changes, and the exact
@@ -54,15 +55,10 @@ from .frames import (
 from .kinematics import (
     Interval,
     SpacetimePoint,
-    TwoMomentum,
     boost_matrix,
     boost_point,
-    energy,
     invariant_interval,
-    momentum_of_rapidity,
-    rapidity_of_momentum,
     rapidity_of_velocity,
-    velocity_of_rapidity,
 )
 from .measurement import (
     ProbabilityReport,
@@ -83,7 +79,6 @@ from .scenarios import (
     WidthScenario,
     run_boost_superposition,
     run_coordinate_transform,
-    run_interference_checks,
     run_length_contraction,
     run_nonrel_interference,
     run_propagator_table,

@@ -538,20 +538,16 @@ def _contour_oracle_amplitudes(
 def criterion_9() -> CriterionResult:
     """Interference probe against the contour-quadrature oracle."""
     scn = InterferenceScenario()  # omega = +-0.02, probe (5, 1)
-    rep = run_nonrel_interference(scn)
+    comp = run_nonrel_interference(scn).details["components"]
     oracle_1, oracle_2 = _contour_oracle_amplitudes(scn, (scn.omega1, scn.omega2))
     oracle = {
         "branch_one": 0.5 * abs(oracle_1) ** 2,
         "branch_two": 0.5 * abs(oracle_2) ** 2,
         "interference": (oracle_1 * oracle_2.conjugate()).real,
     }
-    worst = max(
-        abs(rep.components[key] - val) / abs(val) for key, val in oracle.items()
-    )
-    completeness = abs(
-        rep.components["p_plus"] + rep.components["p_minus"]
-        - rep.components["total"]
-    ) / rep.components["total"]
+    worst = max(abs(comp[key] - val) / abs(val) for key, val in oracle.items())
+    total = comp["total"]
+    completeness = abs(comp["p_plus"] + comp["p_minus"] - total) / total
     passed = worst < 1e-4 and completeness < 1e-10
     return CriterionResult(
         9,

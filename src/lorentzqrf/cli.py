@@ -282,7 +282,7 @@ SCENARIOS = {
     ),
     "nonrel-interference": _Entry(
         scenarios.InterferenceScenario,
-        "run_interference_checks",
+        "run_nonrel_interference",
         {
             "x0": "x0", "t0": "t0", "sx": "sigma_x", "st": "sigma_t", "m": "mass",
             "w1": "omega1", "w2": "omega2", "tp": "tp", "xp": "xp", "sign": "sign",

@@ -12,8 +12,11 @@ matrix
 which has unit determinant and composes additively in alpha.  On mass-shell
 rapidities the same boost acts as theta -> theta - alpha.
 
-Everything in this module is closed-form double-precision arithmetic; there
-are no grids or tolerances beyond float rounding.
+The module holds what the states, frames, coordinates and scenarios build
+on: events (`SpacetimePoint`), their boosts and invariant intervals, the mass
+check, and the velocity-to-rapidity map.  Everything in it is closed-form
+double-precision arithmetic; there are no grids or tolerances beyond float
+rounding.
 """
 
 from __future__ import annotations
@@ -24,21 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TwoMomentum",
     "SpacetimePoint",
     "Interval",
     "check_mass",
-    "energy",
-    "rapidity_of_momentum",
-    "momentum_of_rapidity",
-    "velocity_of_rapidity",
     "rapidity_of_velocity",
     "boost_matrix",
     "boost_point",
     "invariant_interval",
 ]
-
-_MASS_SHELL_RTOL = 1e-12
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -53,42 +49,6 @@ def check_mass(m: float) -> float:
     if m <= 0.0:
         raise ValueError(f"mass must be positive, got {m!r}")
     return float(m)
-
-
-@dataclass(frozen=True)
-class TwoMomentum:
-    """On-shell positive-energy two-momentum (e, p) with e = sqrt(m^2 + p^2)."""
-
-    e: float
-    p: float
-
-    def __post_init__(self) -> None:
-        _require_finite("two-momentum", self.e, self.p)
-        if self.e <= 0.0:
-            raise ValueError(f"energy must be positive, got {self.e!r}")
-        if self.e <= abs(self.p):
-            raise ValueError(
-                f"two-momentum ({self.e}, {self.p}) is not timelike future-pointing"
-            )
-
-    @property
-    def mass(self) -> float:
-        return math.sqrt(self.e * self.e - self.p * self.p)
-
-    def check_shell(self, m: float) -> None:
-        """Raise unless e^2 - p^2 == m^2 to relative tolerance 1e-12.
-
-        The residual is compared against the largest invariant scale
-        (e^2 + p^2 + m^2) rather than m^2 alone: for |theta| ~ 8 the
-        subtraction e^2 - p^2 is ill-conditioned and a tolerance relative to
-        m^2 would reject momenta constructed exactly on shell.
-        """
-        m = check_mass(m)
-        scale = self.e * self.e + self.p * self.p + m * m
-        if abs(self.e * self.e - self.p * self.p - m * m) > _MASS_SHELL_RTOL * scale:
-            raise ValueError(
-                f"two-momentum ({self.e}, {self.p}) is off the mass-{m} shell"
-            )
 
 
 @dataclass(frozen=True)
@@ -118,35 +78,8 @@ class Interval:
     value: float
 
 
-def energy(p: float, m: float) -> float:
-    """Positive on-shell energy sqrt(m^2 + p^2)."""
-    m = check_mass(m)
-    _require_finite("momentum", p)
-    return math.hypot(m, p)
-
-
-def rapidity_of_momentum(p: float, m: float) -> float:
-    """Rapidity theta with p = m sinh(theta)."""
-    m = check_mass(m)
-    _require_finite("momentum", p)
-    return math.asinh(p / m)
-
-
-def momentum_of_rapidity(theta: float, m: float) -> TwoMomentum:
-    """On-shell two-momentum (m cosh(theta), m sinh(theta))."""
-    m = check_mass(m)
-    _require_finite("rapidity", theta)
-    return TwoMomentum(m * math.cosh(theta), m * math.sinh(theta))
-
-
-def velocity_of_rapidity(theta: float) -> float:
-    """Coordinate velocity v = tanh(theta), |v| < 1."""
-    _require_finite("rapidity", theta)
-    return math.tanh(theta)
-
-
 def rapidity_of_velocity(v: float) -> float:
-    """Inverse of velocity_of_rapidity; requires |v| < 1."""
+    """Rapidity theta with v = tanh(theta); requires |v| < 1."""
     _require_finite("velocity", v)
     if abs(v) >= 1.0:
         raise ValueError(f"|velocity| must be < 1, got {v!r}")

@@ -40,7 +40,7 @@ def _quiet_curve_fit(*args, **kwargs):
 from . import coordinates as coords
 from .kinematics import boost_point, check_mass, rapidity_of_velocity
 from .frames import superposed_slice_state
-from .measurement import ProbabilityReport, momentum_density
+from .measurement import momentum_density
 from .states import (
     MAX_TIMELIKE_MS,
     Gaussian2D,
@@ -78,7 +78,6 @@ __all__ = [
     "InterferenceScenario",
     "interference_amplitude",
     "run_nonrel_interference",
-    "run_interference_checks",
     "CoordinateScenario",
     "run_coordinate_transform",
     "PropagatorTableScenario",
@@ -318,10 +317,11 @@ class DilationScenario:
 
 
 def _dilation_packet_interval(
-    scn: DilationScenario, omega: float, grid: RapidityGrid
+    scn: DilationScenario, omega: float
 ) -> tuple[float, dict, list[str]]:
     """Fitted time separation of two boosted event markers in one branch,
     their scans, and the boosted markers' notes."""
+    grid = scn.grid or RapidityGrid.default()
     ch, sh = math.cosh(omega), math.sinh(omega)
     scan_width = max(2.0 * scn.mass * scn.sigma**2, scn.sigma) * (ch + abs(sh))
     if ch * scn.dt < 4.0 * scan_width:
@@ -368,39 +368,28 @@ def run_time_dilation(scn: DilationScenario) -> ScenarioReport:
     details: dict = {"dt": scn.dt, "mode": scn.mode}
     grids: dict = {}
     warnings = []
-    if scn.mode == "exact-event":
-        for omega in scn.omegas:
+    for omega in scn.omegas:
+        label = f"omega={omega:g}"
+        if scn.mode == "exact-event":
             mapped = [boost_point(-omega, (tj, scn.x0)) for tj in scn.times]
             measured = mapped[1].t - mapped[0].t
-            checks.append(
-                BranchCheck(
-                    label=f"omega={omega:g}",
-                    parameter=omega,
-                    predicted=math.cosh(omega) * scn.dt,
-                    measured=measured,
-                    tolerance=scn.tolerance,
-                    path="exact-coordinate",
-                )
+            path = "exact-coordinate"
+            grids[label] = {"events": [list(ev) for ev in mapped]}
+        else:
+            measured, grids[label], notes = _dilation_packet_interval(scn, omega)
+            path = "wave-packet"
+            warnings.extend(f"branch {label}: {note}" for note in notes)
+        checks.append(
+            BranchCheck(
+                label=label,
+                parameter=omega,
+                predicted=math.cosh(omega) * scn.dt,
+                measured=measured,
+                tolerance=scn.tolerance,
+                path=path,
             )
-            grids[f"omega={omega:g}"] = {
-                "events": [list(ev) for ev in mapped],
-            }
-    else:
-        grid = scn.grid or RapidityGrid.default()
-        for omega in scn.omegas:
-            measured, scans, notes = _dilation_packet_interval(scn, omega, grid)
-            checks.append(
-                BranchCheck(
-                    label=f"omega={omega:g}",
-                    parameter=omega,
-                    predicted=math.cosh(omega) * scn.dt,
-                    measured=measured,
-                    tolerance=scn.tolerance,
-                    path="wave-packet",
-                )
-            )
-            grids[f"omega={omega:g}"] = scans
-            warnings.extend(f"branch omega={omega:g}: {note}" for note in notes)
+        )
+    if scn.mode != "exact-event":
         details["sigma"] = scn.sigma
         details["mass"] = scn.mass
     return ScenarioReport(
@@ -809,14 +798,19 @@ def interference_amplitude(scn: InterferenceScenario, omega: float) -> complex:
         pieces = [(lo, tp), (tp, hi)]
     total = 0.0 + 0.0j
     for a_lim, b_lim in pieces:
-        re = quad(lambda t: integrand(t).real, a_lim, b_lim, limit=400)[0]
-        im = quad(lambda t: integrand(t).imag, a_lim, b_lim, limit=400)[0]
-        total += re + 1j * im
+        # quad's default absolute tolerance (1.49e-8) would swamp amplitudes
+        # far below it; scale it to the integrand's own size instead
+        eps = 1e-14 * quad(lambda t: abs(integrand(t)), a_lim, b_lim, limit=400)[0]
+        re = quad(lambda t: integrand(t).real, a_lim, b_lim, epsabs=eps, limit=400)
+        im = quad(lambda t: integrand(t).imag, a_lim, b_lim, epsabs=eps, limit=400)
+        total += re[0] + 1j * im[0]
     return total
 
 
-def run_nonrel_interference(scn: InterferenceScenario) -> ProbabilityReport:
-    """Postselected detection probability at the probe point.
+def run_nonrel_interference(scn: InterferenceScenario) -> ScenarioReport:
+    """Postselected detection probability at the probe point, checked for
+    outcome completeness p_+ + p_- = total and for a frame-branch overlap
+    small enough for the two-outcome split.
 
     With normalized postselection states (|1> +- |2>)/sqrt(2) and orthogonal
     frame branches, p_+- = (b1 + b2)/2 +- Re[amp1 conj(amp2)], so that
@@ -845,37 +839,12 @@ def run_nonrel_interference(scn: InterferenceScenario) -> ProbabilityReport:
         )
     p_signed = p_plus if scn.sign > 0 else p_minus
     value = p_signed / total if total > 0.0 else 0.0
-    return ProbabilityReport(
-        value=min(max(value, 0.0), 1.0),
-        components={
-            "branch_one": 0.5 * b1,
-            "branch_two": 0.5 * b2,
-            "interference": float(scn.sign) * cross,
-            "p_plus": p_plus,
-            "p_minus": p_minus,
-            "total": total,
-            "amp_one_re": amp1.real,
-            "amp_one_im": amp1.imag,
-            "amp_two_re": amp2.real,
-            "amp_two_im": amp2.imag,
-            "frame_overlap": overlap,
-        },
-        warnings=tuple(warnings),
-    )
-
-
-def run_interference_checks(scn: InterferenceScenario) -> ScenarioReport:
-    """The interference probe as a report: outcome completeness p_+ + p_- =
-    total, and a frame-branch overlap small enough for the two-outcome split.
-    """
-    prob = run_nonrel_interference(scn)
-    comp = prob.components
     checks = (
         BranchCheck(
             label="outcome-completeness",
             parameter=float(scn.sign),
-            predicted=comp["total"],
-            measured=comp["p_plus"] + comp["p_minus"],
+            predicted=total,
+            measured=p_plus + p_minus,
             tolerance=1e-10,
             path="wave-packet",
         ),
@@ -883,7 +852,7 @@ def run_interference_checks(scn: InterferenceScenario) -> ScenarioReport:
             label="frame-overlap-small",
             parameter=scn.omega1 - scn.omega2,
             predicted=0.0,
-            measured=comp["frame_overlap"],
+            measured=overlap,
             tolerance=1e-3,
             path="exact-coordinate",
         ),
@@ -891,8 +860,23 @@ def run_interference_checks(scn: InterferenceScenario) -> ScenarioReport:
     return ScenarioReport(
         scenario="nonrel-interference",
         branches=checks,
-        warnings=prob.warnings,
-        details={"value": prob.value, "components": dict(comp)},
+        warnings=tuple(warnings),
+        details={
+            "value": min(max(value, 0.0), 1.0),
+            "components": {
+                "branch_one": 0.5 * b1,
+                "branch_two": 0.5 * b2,
+                "interference": float(scn.sign) * cross,
+                "p_plus": p_plus,
+                "p_minus": p_minus,
+                "total": total,
+                "amp_one_re": amp1.real,
+                "amp_one_im": amp1.imag,
+                "amp_two_re": amp2.real,
+                "amp_two_im": amp2.imag,
+                "frame_overlap": overlap,
+            },
+        },
     )
 
 

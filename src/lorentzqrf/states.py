@@ -26,12 +26,12 @@ function: a `Gaussian2D` packet, or a `GaussianProfile` on an equal-time
 shell, and every such state is normalizable.
 
 Every spectral sum of the wavefunction's form (wavefunctions, gridded
-wavefunctions, slice profiles, the lattice propagator) goes through one
-kernel, `_synthesize`.  It sums only over the smallest index window holding
-every |a_j| > 1e-16 max|a|, n sites (`RapidityState.window`, found once per
-state).  An axis that is an arithmetic progression (np.linspace axes are)
-is split as v[a*B + b] = V_a + b*d, so the phase factors into one fused
-anchor exponential and two offset rotations,
+wavefunctions, slice profiles) goes through one kernel, `_synthesize`.  It
+sums only over the smallest index window holding every |a_j| > 1e-16 max|a|,
+n sites (`RapidityState.window`, found once per state).  An axis that is an
+arithmetic progression (np.linspace axes are) is split as v[a*B + b] =
+V_a + b*d, so the phase factors into one fused anchor exponential and two
+offset rotations,
 
     exp(-i E t + i p x) = exp(-i (E T_alpha - p X_a)) exp(-i E beta dt) exp(i p b dx),
 
@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -583,38 +582,20 @@ def _spacelike_halfline(z: float) -> float:
     return scale * val.real
 
 
-def propagator(query: PropagatorQuery, grid: RapidityGrid | None = None) -> complex:
+def propagator(query: PropagatorQuery) -> complex:
     """W(dt, dx) = integral dtheta/2 exp(-i E dt + i p dx).
 
-    Without a grid the integral is evaluated by contour rotation, as a
-    half-line integral in z = m*s that a fixed 24-node Gauss-Legendre panel
-    rule computes to about 1e-13 relative error.  Lightlike or coincident
-    separations raise, since the continuum value diverges; so do m*s below
-    _MIN_MS and timelike m*s above MAX_TIMELIKE_MS (see there).  With an
-    explicit grid the literal truncated lattice sum is returned
-    (cutoff-dependent for lightlike/coincident separations, which only
-    warn on this path).
+    The integral is evaluated by contour rotation, as a half-line integral in
+    z = m*s that a fixed 24-node Gauss-Legendre panel rule computes to about
+    1e-13 relative error.  Lightlike or coincident separations raise, since
+    the continuum value diverges; so do m*s below _MIN_MS and timelike m*s
+    above MAX_TIMELIKE_MS (see there).  s^2 is formed as (dt - dx)(dt + dx),
+    which stays finite wherever dt^2 - dx^2 would be inf - inf.
     """
     dt, dx, m = query.dt, query.dx, query.mass
-    if grid is not None:
-        s2 = dt * dt - dx * dx
-        if s2 == 0.0:
-            warnings.warn(
-                "lattice propagator at lightlike/coincident separation is "
-                "cutoff-dependent",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        # unit amplitudes: the sum runs over the whole grid
-        flat = RapidityState(grid, m, np.ones(grid.count))
-        return complex(_synthesize(flat, grid.weights, [dt], [dx])[0, 0])
-
-    s2 = dt * dt - dx * dx
+    s2 = (dt - dx) * (dt + dx)
     if s2 == 0.0:
-        raise ValueError(
-            "propagator diverges at lightlike/coincident separation; "
-            "pass a grid for the (cutoff-dependent) lattice sum"
-        )
+        raise ValueError("propagator diverges at lightlike/coincident separation")
     z = m * math.sqrt(abs(s2))
     if z < _MIN_MS:
         raise ValueError(

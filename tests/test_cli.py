@@ -495,7 +495,7 @@ LIBRARY_RUNS = {
     "superposition-of-boosts": lambda: scenarios.run_boost_superposition(
         scenarios.BoostSuperpositionScenario()
     ),
-    "nonrel-interference": lambda: scenarios.run_interference_checks(
+    "nonrel-interference": lambda: scenarios.run_nonrel_interference(
         scenarios.InterferenceScenario()
     ),
     "coordinate-transform": lambda: scenarios.run_coordinate_transform(

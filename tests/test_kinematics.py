@@ -1,9 +1,4 @@
-"""Kinematics: mass-shell maps, boost matrices, invariant intervals.
-
-The frozen value for rapidity_of_momentum(-0.75, 2) was computed with an
-independent bisection solver of m*sinh(theta) = p (400 halvings on [-50, 50]),
-which agrees with math.asinh to machine precision.
-"""
+"""Kinematics: boost matrices, the velocity-rapidity map, invariant intervals."""
 
 from __future__ import annotations
 
@@ -15,39 +10,11 @@ import pytest
 from lorentzqrf.kinematics import (
     Interval,
     SpacetimePoint,
-    TwoMomentum,
     boost_matrix,
     boost_point,
-    energy,
     invariant_interval,
-    momentum_of_rapidity,
-    rapidity_of_momentum,
     rapidity_of_velocity,
-    velocity_of_rapidity,
 )
-
-
-def test_energy_rest_and_shell():
-    assert energy(0.0, 2.0) == 2.0
-    e = energy(3.0, 1.0)
-    assert abs(e * e - 3.0 * 3.0 - 1.0) < 1e-12
-
-
-def test_rapidity_momentum_round_trip():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        m = float(rng.uniform(0.1, 10.0))
-        th = float(rng.uniform(-8.0, 8.0))
-        q = momentum_of_rapidity(th, m)
-        q.check_shell(m)
-        assert abs(rapidity_of_momentum(q.p, m) - th) < 1e-12 * max(1.0, abs(th))
-
-
-def test_rapidity_frozen_value():
-    # bisection oracle value, see module docstring
-    assert rapidity_of_momentum(-0.75, 2.0) == pytest.approx(
-        -0.36672460423013675, abs=1e-14
-    )
 
 
 def test_boost_matrix_ln2():
@@ -88,11 +55,10 @@ def test_boost_on_shell_rapidity_shift():
         m = float(rng.uniform(0.2, 5.0))
         th = float(rng.uniform(-4.0, 4.0))
         a = float(rng.uniform(-4.0, 4.0))
-        q = momentum_of_rapidity(th, m)
-        e2, p2 = boost_matrix(a) @ np.array([q.e, q.p])
-        q2 = momentum_of_rapidity(th - a, m)
-        assert abs(e2 - q2.e) < 1e-10 * q2.e
-        assert abs(p2 - q2.p) < 1e-10 * max(1.0, abs(q2.p))
+        e2, p2 = boost_matrix(a) @ np.array([m * math.cosh(th), m * math.sinh(th)])
+        e, p = m * math.cosh(th - a), m * math.sinh(th - a)
+        assert abs(e2 - e) < 1e-10 * e
+        assert abs(p2 - p) < 1e-10 * max(1.0, abs(p))
 
 
 def test_interval_tags_and_values():
@@ -118,7 +84,7 @@ def test_interval_boost_invariance():
 def test_velocity_rapidity_round_trip():
     rng = np.random.default_rng(17)
     for v in rng.uniform(-0.99, 0.99, size=50):
-        assert velocity_of_rapidity(rapidity_of_velocity(float(v))) == pytest.approx(
+        assert math.tanh(rapidity_of_velocity(float(v))) == pytest.approx(
             float(v), abs=1e-14
         )
     with pytest.raises(ValueError):
@@ -127,14 +93,4 @@ def test_velocity_rapidity_round_trip():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        energy(1.0, 0.0)
-    with pytest.raises(ValueError):
-        energy(float("nan"), 1.0)
-    with pytest.raises(ValueError):
-        TwoMomentum(1.0, 2.0)  # spacelike
-    with pytest.raises(ValueError):
-        TwoMomentum(-1.0, 0.0)
-    with pytest.raises(ValueError):
         SpacetimePoint(float("inf"), 0.0)
-    with pytest.raises(ValueError):
-        momentum_of_rapidity(1.0, 2.0).check_shell(1.0)

@@ -355,53 +355,63 @@ def test_interference_amplitudes_match_contour_oracle():
         assert abs(prod - oracle) / abs(oracle) < 1e-6
 
 
+def test_interference_small_amplitudes_match_contour_oracle():
+    """Amplitudes far below quad's default absolute tolerance (1.49e-8):
+    here |amp| ~ 1.6e-9 while the integrand's modulus integrates to ~ 5e-4."""
+    scn = InterferenceScenario(
+        x0=3, t0=1, sigma_x=0.05, sigma_t=0.75, mass=80,
+        omega1=0.08, omega2=0.07, tp=-2, xp=0,
+    )
+    omegas = (scn.omega1, scn.omega2)
+    for om, oracle in zip(omegas, _contour_oracle_amplitudes(scn, omegas)):
+        prod = interference_amplitude(scn, om)
+        assert abs(prod - oracle) / abs(oracle) < 1e-6
+
+
 def test_interference_report_components():
     scn = InterferenceScenario()
-    rep = run_nonrel_interference(scn)
+    comp = run_nonrel_interference(scn).details["components"]
     a1 = interference_amplitude(scn, scn.omega1)
     a2 = interference_amplitude(scn, scn.omega2)
-    assert rep.components["branch_one"] == pytest.approx(
-        0.5 * abs(a1) ** 2, rel=1e-12
-    )
-    assert rep.components["branch_two"] == pytest.approx(
-        0.5 * abs(a2) ** 2, rel=1e-12
-    )
-    assert rep.components["interference"] == pytest.approx(
+    assert comp["branch_one"] == pytest.approx(0.5 * abs(a1) ** 2, rel=1e-12)
+    assert comp["branch_two"] == pytest.approx(0.5 * abs(a2) ** 2, rel=1e-12)
+    assert comp["interference"] == pytest.approx(
         (a1 * a2.conjugate()).real, rel=1e-12
     )
     # the two postselection outcomes exhaust the no-postselection total
-    assert rep.components["p_plus"] + rep.components["p_minus"] == pytest.approx(
-        rep.components["total"], rel=1e-12
+    assert comp["p_plus"] + comp["p_minus"] == pytest.approx(
+        comp["total"], rel=1e-12
     )
 
 
 def test_interference_signs_are_complementary():
-    plus = run_nonrel_interference(InterferenceScenario(sign=+1))
-    minus = run_nonrel_interference(InterferenceScenario(sign=-1))
-    assert plus.value + minus.value == pytest.approx(1.0, abs=1e-12)
-    assert plus.components["interference"] == pytest.approx(
-        -minus.components["interference"], rel=1e-12
+    plus = run_nonrel_interference(InterferenceScenario(sign=+1)).details
+    minus = run_nonrel_interference(InterferenceScenario(sign=-1)).details
+    assert plus["value"] + minus["value"] == pytest.approx(1.0, abs=1e-12)
+    assert plus["components"]["interference"] == pytest.approx(
+        -minus["components"]["interference"], rel=1e-12
     )
     # at nearly opposite small rapidities the branches almost coincide, so
     # the symmetric outcome dominates
-    assert plus.value > 0.99
+    assert plus["value"] > 0.99
 
 
 def test_interference_equal_rapidity_factorizes():
     scn = InterferenceScenario(omega1=0.05, omega2=0.05)
-    rep = run_nonrel_interference(scn)
-    b1 = rep.components["branch_one"]
-    assert rep.components["interference"] == pytest.approx(2.0 * b1, rel=1e-12)
-    assert rep.components["p_minus"] == pytest.approx(0.0, abs=1e-12)
-    assert rep.value == pytest.approx(1.0, abs=1e-12)
+    details = run_nonrel_interference(scn).details
+    comp = details["components"]
+    b1 = comp["branch_one"]
+    assert comp["interference"] == pytest.approx(2.0 * b1, rel=1e-12)
+    assert comp["p_minus"] == pytest.approx(0.0, abs=1e-12)
+    assert details["value"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_interference_frame_overlap_warning():
     sharp = run_nonrel_interference(InterferenceScenario())
-    assert sharp.components["frame_overlap"] == 0.0
+    assert sharp.details["components"]["frame_overlap"] == 0.0
     assert sharp.warnings == ()
     wide = run_nonrel_interference(InterferenceScenario(frame_width=0.05))
-    assert wide.components["frame_overlap"] > 1e-3
+    assert wide.details["components"]["frame_overlap"] > 1e-3
     assert any("overlap" in w for w in wide.warnings)
 
 
