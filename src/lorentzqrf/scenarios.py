@@ -818,14 +818,31 @@ def run_nonrel_interference(scn: InterferenceScenario) -> ScenarioReport:
     value is the conditional probability p_sign / (p_+ + p_-); raw densities
     sit in the components.
     """
-    amp1 = interference_amplitude(scn, scn.omega1)
-    amp2 = interference_amplitude(scn, scn.omega2)
+    from scipy.integrate import IntegrationWarning
+
+    # the probe's quadrature warnings belong in the report, not on stderr
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always", IntegrationWarning)
+        amp1 = interference_amplitude(scn, scn.omega1)
+        amp2 = interference_amplitude(scn, scn.omega2)
+    warnings = []
+    for w in caught:
+        if not issubclass(w.category, IntegrationWarning):
+            _warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            continue
+        note = "probe quadrature: " + " ".join(str(w.message).split())
+        if note not in warnings:
+            warnings.append(note)
     b1, b2 = abs(amp1) ** 2, abs(amp2) ** 2
     cross = (amp1 * amp2.conjugate()).real
     p_plus = 0.5 * (b1 + b2) + cross
     p_minus = 0.5 * (b1 + b2) - cross
     total = b1 + b2
-    warnings = []
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(
+            f"the probe's detection density is {total!r}: its amplitudes "
+            "underflow or overflow, so no outcome probability is defined"
+        )
     if scn.frame_width is not None:
         overlap = math.exp(
             -((scn.omega1 - scn.omega2) ** 2) / (8.0 * scn.frame_width**2)
@@ -838,7 +855,7 @@ def run_nonrel_interference(scn: InterferenceScenario) -> ScenarioReport:
             "are not orthogonal and the two-outcome split is approximate"
         )
     p_signed = p_plus if scn.sign > 0 else p_minus
-    value = p_signed / total if total > 0.0 else 0.0
+    value = p_signed / total
     checks = (
         BranchCheck(
             label="outcome-completeness",

@@ -5,8 +5,12 @@ assert each criterion's verdict and surface its one-line summary.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,12 +99,13 @@ def test_gauss_legendre_nodes_match_leggauss():
         assert abs(weights @ nodes**d - 2.0 / (d + 1)) <= 1e-14
 
 
-def _full_matrix_amplitude(scn, omega, eps, nt, nx):
-    """Criterion 9's contour quadrature as one nt x nx matrix, tw @ M @ xw."""
+def _full_matrix_terms(scn, omega, eps, nt, nx, real=np.float64):
+    """Criterion 9's contour quadrature as one nt x nx matrix: tw, M, xw with
+    the amplitude tw @ M @ xw, evaluated in the precision `real`."""
     m, sx, st = scn.mass, scn.sigma_x, scn.sigma_t
     beta = 1.0 + omega * omega / 2.0
-    tn, tw = acceptance._leggauss(nt)
-    xn, xw = acceptance._leggauss(nx)
+    tn, tw = (a.astype(real) for a in acceptance._leggauss(nt))
+    xn, xw = (a.astype(real) for a in acceptance._leggauss(nx))
     t_lo, t_hi = scn.t0 - 14.0 * st, scn.t0 + 14.0 * st
     x_lo, x_hi = scn.x0 - 18.0 * sx, scn.x0 + 18.0 * sx
     ts = 0.5 * (t_hi + t_lo) + 0.5 * (t_hi - t_lo) * tn - 1j * eps
@@ -114,7 +119,12 @@ def _full_matrix_amplitude(scn, omega, eps, nt, nx):
     )
     d = T - scn.tp
     kernel = np.sqrt(m / (1j * d)) * np.exp(1j * m * (X - scn.xp) ** 2 / (2 * d))
-    return complex(tw @ (packet * kernel) @ xw)
+    return tw, packet * kernel, xw
+
+
+def _full_matrix_amplitude(scn, omega, eps, nt, nx):
+    tw, terms, xw = _full_matrix_terms(scn, omega, eps, nt, nx)
+    return complex(tw @ terms @ xw)
 
 
 @pytest.mark.parametrize(
@@ -123,9 +133,10 @@ def _full_matrix_amplitude(scn, omega, eps, nt, nx):
     ids=["default", "shifted"],
 )
 def test_tiled_contour_oracle_matches_full_matrix(fields, omegas):
-    # nt = 1000 gives 64-column tiles, so nx = 157 makes two full tiles and a
-    # partial one.  Equal bits hold with one BLAS thread; a threaded
-    # full-matrix product sums in another order, hence the 1e-15 bound.
+    # nt = 1000 gives 64-node tiles, so nx = 157 makes two full tiles and a
+    # partial one.  The tiled oracle builds each node's exponent from row and
+    # column vectors and takes one exponential where the full matrix takes
+    # three, so the two need not agree in every bit: hence the 1e-15 bound.
     scn = replace(InterferenceScenario(), **fields)
     omegas = omegas or (scn.omega1, scn.omega2)
     got = acceptance._contour_oracle_amplitudes(scn, omegas, eps=1.0, nt=1000, nx=157)
@@ -133,6 +144,64 @@ def test_tiled_contour_oracle_matches_full_matrix(fields, omegas):
     for omega, amp in zip(omegas, got):
         ref = _full_matrix_amplitude(scn, omega, 1.0, 1000, 157)
         assert abs(amp - ref) <= 1e-15 * abs(ref)
+
+
+def _oracle_accuracy_cases():
+    rng = np.random.default_rng(2718)
+    yield InterferenceScenario()
+    # the small-amplitude input of the scenario tests
+    yield InterferenceScenario(
+        x0=3, t0=1, sigma_x=0.05, sigma_t=0.75, mass=80,
+        omega1=0.08, omega2=0.07, tp=-2, xp=0,
+    )
+    for _ in range(3):
+        yield InterferenceScenario(
+            x0=rng.uniform(-1.0, 1.0), t0=rng.uniform(-1.0, 1.0),
+            sigma_x=rng.uniform(0.5, 1.5), sigma_t=rng.uniform(0.5, 1.5),
+            mass=rng.uniform(0.5, 3.0),
+            omega1=rng.uniform(-0.1, 0.1), omega2=rng.uniform(-0.1, 0.1),
+            tp=rng.uniform(2.0, 6.0), xp=rng.uniform(-2.0, 2.0),
+        )
+
+
+def test_contour_oracle_matches_long_double_rule():
+    """The oracle against the same rule's full-matrix integrand evaluated in
+    long double, to within 1e-14 of the sum of the terms' moduli: that sum,
+    not the amplitude, sets the rounding scale when the terms cancel."""
+    nt, nx = 512, 144  # 128-node tiles: one full, one partial
+    for scn in _oracle_accuracy_cases():
+        omegas = (scn.omega1, scn.omega2)
+        got = acceptance._contour_oracle_amplitudes(scn, omegas, nt=nt, nx=nx)
+        for omega, amp in zip(omegas, got):
+            tw, terms, xw = _full_matrix_terms(scn, omega, 1.0, nt, nx, np.longdouble)
+            ref = complex(tw @ terms @ xw)
+            scale = float(np.abs(tw[:, None] * terms * xw).sum())
+            assert abs(amp - ref) <= 1e-14 * scale, (scn, omega)
+
+
+def test_contour_oracle_bits_do_not_depend_on_blas_threads():
+    # each x node's t sum is one dot product over all t nodes, whichever
+    # thread computes it (nx = 157 ends in a partial tile)
+    code = (
+        "from lorentzqrf import acceptance\n"
+        "from lorentzqrf.scenarios import InterferenceScenario\n"
+        "scn = InterferenceScenario()\n"
+        "amps = acceptance._contour_oracle_amplitudes("
+        "scn, (scn.omega1, scn.omega2), nt=1000, nx=157)\n"
+        "print(*(x.hex() for a in amps for x in (a.real, a.imag)))\n"
+    )
+    src = str(Path(acceptance.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        outputs.append(run.stdout.split())
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_contour_oracle_memory_is_bounded():

@@ -540,6 +540,18 @@ def test_run_interference_scenario(tmp_path):
     assert 0.99 < payload["details"]["value"] <= 1.0
 
 
+def test_run_interference_rejects_an_underflowing_probe(tmp_path, capsys):
+    # at this mass every amplitude underflows to 0, and a completeness check
+    # on 0 = 0 would pass
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", "nonrel-interference", "--set", "m=1e300"]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "detection density is 0.0" in err
+    assert err.rstrip().endswith("(given m=1e+300)")
+    assert not out.exists()
+
+
 def test_run_coordinate_transform_scenario(tmp_path):
     code = cli.main(
         ["run", "--scenario", "coordinate-transform", "--out", str(tmp_path)]
@@ -614,6 +626,12 @@ def test_run_boosts_scalar_omega_coerced(tmp_path):
             "omegas=[-8.7,0.6]",
             0,
             "branch omega=-8.7: boosted support within 5% of the grid boundary",
+        ),
+        (
+            "nonrel-interference",
+            "m=3000",
+            0,
+            "probe quadrature: The occurrence of roundoff error is detected",
         ),
     ],
 )

@@ -384,6 +384,14 @@ def test_interference_report_components():
     )
 
 
+def test_interference_quadrature_warnings_reach_the_report():
+    # the test configuration turns an escaping IntegrationWarning into an error
+    assert run_nonrel_interference(InterferenceScenario()).warnings == ()
+    notes = run_nonrel_interference(InterferenceScenario(mass=3000)).warnings
+    assert len(notes) == 1
+    assert notes[0].startswith("probe quadrature: The occurrence of roundoff error")
+
+
 def test_interference_signs_are_complementary():
     plus = run_nonrel_interference(InterferenceScenario(sign=+1)).details
     minus = run_nonrel_interference(InterferenceScenario(sign=-1)).details
