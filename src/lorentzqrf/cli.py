@@ -366,8 +366,11 @@ def _cmd_run(args) -> int:
             scn = entry.scenario(**{f: cfg[key] for key, f in entry.keys.items()})
             rep = getattr(scenarios, entry.runner)(scn)
             rep_dict = rep.to_dict()
-            # serializing rejects a non-finite number before anything is written
+            # serializing rejects a non-finite number, and the table and plot an
+            # overflowing one, before anything is written
             text = reporting.canonical_json(reporting.build_report(rep_dict, config=cfg))
+            table = entry.csv(rep_dict) if args.csv else None
+            svg = entry.plot(rep_dict) if args.plot == "svg" else None
         except (ArithmeticError, ValueError) as exc:
             # the defaults are valid and run, so the keys given are the ones
             # to check; the scenario's own message names fields, not keys
@@ -385,11 +388,9 @@ def _cmd_run(args) -> int:
     try:
         reporting.ensure_directory(args.out)
         reporting.write_report(text, os.path.join(args.out, "report.json"))
-        if args.csv:
-            rows, columns = entry.csv(rep_dict)
-            reporting.write_csv(rows, columns, os.path.join(args.out, "table.csv"))
-        if args.plot == "svg":
-            svg = entry.plot(rep_dict)
+        if table is not None:
+            reporting.write_csv(*table, os.path.join(args.out, "table.csv"))
+        if svg is not None:
             with open(
                 os.path.join(args.out, "plot.svg"), "w", encoding="utf-8"
             ) as fh:

@@ -163,6 +163,20 @@ def _blank(title: str, xlabel: str, ylabel: str) -> str:
     return _document(panel.frame())
 
 
+def _polyline_points(panel: _Panel, xs, ys) -> str:
+    """Pixel text "x,y x,y ..." of zip(xs, ys), as `_fmt(px(x)),_fmt(py(y))` gives it.
+
+    px/py map whole arrays in the scalar operation order, so every pixel keeps
+    its bits, and one "%.3f" call formats them all.  The arrays live only in
+    this call, so line_chart peaks no higher than formatting point by point.
+    """
+    n = min(len(xs), len(ys))
+    pixels = np.empty(2 * n)
+    pixels[0::2] = panel.px(np.asarray(xs, float)[:n])
+    pixels[1::2] = panel.py(np.asarray(ys, float)[:n])
+    return ("%.3f,%.3f " * n % tuple(pixels.tolist()))[:-1].replace("-0.000", "0.000")
+
+
 def line_chart(
     series: list[tuple[str, list, list]],
     title: str = "",
@@ -170,18 +184,19 @@ def line_chart(
     ylabel: str = "y",
 ) -> str:
     """Polyline chart; one fixed palette color per (label, xs, ys) series."""
-    xr = _finite_range([x for _, xs, _ in series for x in xs])
-    yr = _finite_range([y for _, _, ys in series for y in ys])
+    xr = _finite_range(
+        np.concatenate([np.empty(0), *(np.asarray(xs, float) for _, xs, _ in series)])
+    )
+    yr = _finite_range(
+        np.concatenate([np.empty(0), *(np.asarray(ys, float) for _, _, ys in series)])
+    )
     if xr is None or yr is None:
         return _blank(title, xlabel, ylabel)
     panel = _Panel(xr, yr, title, xlabel, ylabel)
     parts = panel.frame()
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (_, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(
-            f"{_fmt(panel.px(float(x)))},{_fmt(panel.py(float(y)))}"
-            for x, y in zip(xs, ys)
-        )
+        points = _polyline_points(panel, xs, ys)
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'

@@ -3,8 +3,11 @@
 All floats are written with 17 significant digits (round-trip exact for
 IEEE doubles), keys are sorted, separators fixed, and complex numbers stored
 as two-element [re, im] arrays, so identical inputs always give identical
-bytes.  A report may carry a top-level "timestamp" field; it is the single
-field excluded from byte comparisons, and `strip_timestamp` removes it.
+bytes.  A row of finite Python floats is written by one "%.17g" format call
+over the whole row, with the same bytes as formatting each value on its own;
+every other row is written value by value.  A report may carry a top-level
+"timestamp" field; it is the single field excluded from byte comparisons, and
+`strip_timestamp` removes it.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ def _format_float(value: float) -> str:
 
 
 def _emit(obj) -> str:
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        return json.dumps(None if obj is None else bool(obj))
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -63,6 +66,9 @@ def _emit(obj) -> str:
         )
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
+            # a finite float row in one format call; v + 0.0 turns -0.0 into 0
+            return "[" + ",".join(["%.17g"] * len(obj)) % tuple([v + 0.0 for v in obj]) + "]"
         return "[" + ",".join(_emit(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
@@ -101,7 +107,7 @@ def csv_lines(rows: list[dict], columns: list[str]) -> list[str]:
     """Deterministic CSV lines (header + one line per row dict)."""
 
     def cell(value) -> str:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.bool_)):
             return "true" if value else "false"
         if isinstance(value, (float, np.floating)):
             return _format_float(float(value))

@@ -110,11 +110,12 @@ class BranchCheck:
 
     @property
     def passed(self) -> bool:
+        # bool(): np.float64 fields would otherwise give an np.bool_
         if self.predicted != 0.0:
-            return abs(self.measured - self.predicted) <= self.tolerance * abs(
-                self.predicted
+            return bool(
+                abs(self.measured - self.predicted) <= self.tolerance * abs(self.predicted)
             )
-        return abs(self.measured) <= self.tolerance
+        return bool(abs(self.measured) <= self.tolerance)
 
     def to_dict(self) -> dict:
         return {

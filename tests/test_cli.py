@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lorentzqrf import cli, plots, scenarios
 from lorentzqrf import report as reporting
@@ -81,6 +81,51 @@ def test_canonical_json_and_strip_timestamp_properties(body, stamp):
     )
 
 
+# rows of exact floats take one format call; the reference joins the values
+_edge_floats = st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+_row_floats = st.floats(allow_nan=False, allow_infinity=False) | _edge_floats
+_row_items = _row_floats | _row_floats.map(np.float64) | st.integers() | st.booleans()
+
+
+@given(st.lists(_row_floats, max_size=40) | st.lists(_row_items, max_size=40), st.booleans())
+def test_canonical_json_rows_match_per_value_emission(row, as_tuple):
+    row = tuple(row) if as_tuple else row
+    expected = "[" + ",".join(reporting.canonical_json(v) for v in row) + "]"
+    assert reporting.canonical_json(row) == expected
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_canonical_json_float_row_names_its_non_finite_value(bad):
+    message = f"reports may not contain non-finite numbers, got {bad!r}"
+    with pytest.raises(ValueError) as scalar:
+        reporting.canonical_json(bad)
+    with pytest.raises(ValueError) as row:
+        reporting.canonical_json([0.5, -0.0, bad, math.nan, 2.0])
+    assert str(row.value) == str(scalar.value) == message
+
+
+@pytest.mark.parametrize("measured", [1.25 + 1e-15, 1.5])
+def test_branch_check_from_numpy_floats_serializes_like_floats(measured):
+    args = ("a:b", 0.5, 1.25, measured, 1e-12, "exact")
+    plain = scenarios.BranchCheck(*args)
+    numpy = scenarios.BranchCheck(
+        *(np.float64(a) if isinstance(a, float) else a for a in args)
+    )
+    assert type(numpy.passed) is bool and numpy.passed == plain.passed
+    assert reporting.canonical_json(numpy.to_dict()) == reporting.canonical_json(
+        plain.to_dict()
+    )
+    columns = list(plain.to_dict())
+    assert reporting.csv_lines([numpy.to_dict()], columns) == reporting.csv_lines(
+        [plain.to_dict()], columns
+    )
+    # a bare numpy bool is a bool in both formats
+    assert reporting.canonical_json([np.True_, np.False_]) == "[true,false]"
+    assert reporting.csv_lines([{"p": np.False_}], ["p"])[1] == "false"
+
+
 def test_csv_lines_quoting_and_types():
     lines = reporting.csv_lines(
         [{"a": 0.5, "b": 'say "hi"', "c": True}, {"a": 2, "b": "x,y", "c": False}],
@@ -101,6 +146,53 @@ def test_line_chart_is_deterministic_and_wellformed():
     assert a.startswith('<?xml version="1.0"')
     assert a.rstrip().endswith("</svg>")
     assert "demo" in a and "polyline" in a
+
+
+def _per_point_line_chart(series, title="", xlabel="x", ylabel="y"):
+    """`plots.line_chart` as one px/py and _fmt call per point, for reference."""
+    xr = plots._finite_range([x for _, xs, _ in series for x in xs])
+    yr = plots._finite_range([y for _, _, ys in series for y in ys])
+    if xr is None or yr is None:
+        return plots._blank(title, xlabel, ylabel)
+    panel = plots._Panel(xr, yr, title, xlabel, ylabel)
+    parts = panel.frame()
+    for i, (label, xs, ys) in enumerate(series):
+        points = " ".join(
+            f"{plots._fmt(panel.px(float(x)))},{plots._fmt(panel.py(float(y)))}"
+            for x, y in zip(xs, ys)
+        )
+        parts.append(
+            f'<polyline points="{points}" fill="none" '
+            f'stroke="{plots.PALETTE[i % len(plots.PALETTE)]}" stroke-width="1.5"/>'
+        )
+    parts.extend(panel.legend([label for label, _, _ in series]))
+    return plots._document(parts)
+
+
+_chart_values = st.floats(-1e6, 1e6) | st.sampled_from(
+    [-0.0, 1e-300, math.inf, -math.inf, math.nan]
+)
+_chart_series = st.tuples(
+    st.text("abc", max_size=3),
+    st.lists(_chart_values, min_size=1, max_size=12),
+    st.lists(_chart_values, min_size=1, max_size=12),
+)
+
+
+@given(st.lists(_chart_series, max_size=4), st.booleans())
+@example([("one", [0.5], [-2.0]), ("short", [0.0, 1.0, 2.0, 3.0], [1.0, -1.0])], False)
+def test_line_chart_matches_per_point_reference(series, as_arrays):
+    if as_arrays:
+        series = [(label, np.array(xs), np.array(ys)) for label, xs, ys in series]
+    assert plots.line_chart(series, title="t") == _per_point_line_chart(series, title="t")
+
+
+@given(st.lists(_chart_values, max_size=12), st.floats(-1e6, 1e6), st.floats(1e-3, 1e6))
+def test_panel_maps_arrays_with_the_bits_of_scalars(values, lo, width):
+    panel = plots._Panel((lo, lo + width), (lo - width, lo), "", "", "")
+    arr = np.array(values, dtype=float)
+    assert panel.px(arr).tobytes() == np.array([panel.px(v) for v in values]).tobytes()
+    assert panel.py(arr).tobytes() == np.array([panel.py(v) for v in values]).tobytes()
 
 
 def test_empty_chart_renders_blank_panel_with_axes():
@@ -431,6 +523,13 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
             "reports may not contain non-finite numbers, got nan (given events=",
         ),
         (
+            # the events are finite, but the plot's axis span overflows
+            "coordinate-transform",
+            "velocities=[0.0,1e-9] events=[[[1e308,0],[1e308,1]],[[-1e308,0],[-1e308,1]]]",
+            "OverflowError: cannot convert float infinity to integer (given "
+            "velocities=(0.0, 1e-09), events=",
+        ),
+        (
             "coordinate-transform",
             "events=[[[0,0]],[[0,0]]]",
             "events needs at least two events per branch row, got a row of 1",
@@ -441,13 +540,15 @@ def test_run_rejects_bad_values_naming_the_key(
     tmp_path, capsys, scenario, setting, message
 ):
     sets = [arg for pair in setting.split() for arg in ("--set", pair)]
-    code = cli.main(["run", "--scenario", scenario, *sets, "--out", str(tmp_path)])
+    argv = ["run", "--scenario", scenario, *sets, "--out", str(tmp_path)]
+    code = cli.main(argv + ["--csv", "--plot", "svg"])
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     # a range check names the key instead of surfacing a bare OverflowError
     assert ("OverflowError" in err) == ("OverflowError" in message)
-    assert not (tmp_path / "report.json").exists()
+    # no artifact, not even report.json, is written
+    assert list(tmp_path.iterdir()) == []
 
 
 # every documented key of every scenario with its default, as `report.json`
@@ -599,6 +700,27 @@ def test_tables_and_plots_come_from_the_report_alone(tmp_path, name, extra):
     rows, columns = entry.csv(rep)
     table = "\n".join(reporting.csv_lines(rows, columns)) + "\n"
     assert table == (tmp_path / "table.csv").read_text()
+
+
+def _per_value_json(obj):
+    """`canonical_json` with one scalar call per value, for reference."""
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(k)}:{_per_value_json(v)}" for k, v in sorted(obj.items()))
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_per_value_json(v) for v in obj) + "]"
+    return reporting.canonical_json(obj)
+
+
+@pytest.mark.parametrize("name", ["superposition-of-boosts", "width-contraction"])
+def test_bulk_rows_and_polylines_match_per_value_emitters(monkeypatch, name):
+    rep = LIBRARY_RUNS[name]().to_dict()
+    assert reporting.canonical_json(rep) == _per_value_json(rep)
+    svg = cli.SCENARIOS[name].plot(rep)
+    monkeypatch.setattr(plots, "line_chart", _per_point_line_chart)
+    assert svg == cli.SCENARIOS[name].plot(rep)
 
 
 def test_run_boosts_scalar_omega_coerced(tmp_path):
