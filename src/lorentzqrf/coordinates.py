@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .kinematics import (
     Interval,
@@ -60,7 +61,12 @@ class JointCoordinateState:
         lab = tuple(self.lab)
         if not lab:
             raise ValueError("state needs at least one velocity branch")
-        events = tuple(tuple(row) for row in self.events)
+        events = tuple(map(tuple, self.events))
+        if not {EventCoordinate}.issuperset(map(type, chain.from_iterable(events))):
+            # build (t, x) pairs into validated events
+            events = tuple(
+                tuple(EventCoordinate(*map(float, ev)) for ev in row) for row in events
+            )
         if len(events) != len(lab):
             raise ValueError("one event list per velocity branch required")
         lengths = {len(row) for row in events}

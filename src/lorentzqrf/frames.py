@@ -164,7 +164,11 @@ class BranchedFrameState:
                 raise ValueError(
                     f"payload '{labels[k]}' must have one mass and grid across branches"
                 )
-        if self.frame == self.branch_system or self.frame in labels:
+        systems = (self.branch_system, *labels)
+        for i, label in enumerate(systems):
+            if label in systems[:i]:
+                raise ValueError(f"system label {label!r} is repeated")
+        if self.frame in systems:
             raise ValueError("frame label collides with another system label")
         # keep branches ordered by rapidity, payload rows aligned
         order = sorted(range(len(branches)), key=lambda i: branches[i].rapidity)

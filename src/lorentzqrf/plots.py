@@ -39,10 +39,9 @@ def _finite_range(values) -> tuple[float, float] | None:
     if arr.size == 0:
         return None
     lo, hi = float(np.min(arr)), float(np.max(arr))
-    if lo == hi:
-        pad = max(abs(lo), 1.0) * 0.1
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
+    pad = max(abs(lo), 1.0) * 0.1 if lo == hi else (hi - lo) * 0.05
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise ValueError(f"plot range [{lo!r}, {hi!r}] is too wide to draw: its span overflows")
     return lo - pad, hi + pad
 
 

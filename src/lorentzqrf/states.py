@@ -52,7 +52,8 @@ window and rotates its nine stencil samples from one cos/sin row per probe.
 A state sits at theta_j = grid.thetas[j] + origin.  A boost by alpha only
 moves the origin by -alpha (a'(theta) = a(theta + alpha), support moved by
 the kinematics boost matrix), so it is O(1), exact and drops nothing.  Only
-`resample` interpolates, back onto the grid's lattice where origins meet.
+`resample` interpolates, back onto the grid's lattice where origins meet,
+with a six-point filter on the demodulated support window (see there).
 
 The two-point function
 
@@ -668,14 +669,39 @@ def boost_state(state: RapidityState, alpha: float) -> RapidityState:
 
 
 _LATTICE_SNAP = 1e-9  # |origin/step - round| below this counts as a lattice shift
+_TAPS = range(-2, 4)  # source sites about the floor of a target's index, read by resample
+
+
+def _carrier(a: np.ndarray, e: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """Centre (t, x) of the carrier exp(i (E t - p x)) fitted to the phase
+    steps of `a`: the |a|-weighted least squares of angle(a_j+1 conj(a_j)) on
+    the carrier's own steps t dE_j - x dp_j, or (0, 0) if that is singular."""
+    z = a[1:] * np.conj(a[:-1])
+    w, de, dp = np.sqrt(np.abs(z)), np.diff(e), np.diff(p)
+    wde, wdp, dphi = w * de, w * dp, np.angle(z)
+    s_ee, s_ep, s_pp = wde @ de, wde @ dp, wdp @ dp
+    r_e, r_p = wde @ dphi, wdp @ dphi
+    det = s_ee * s_pp - s_ep * s_ep
+    if det > 1e-12 * s_ee * s_pp:  # False when singular or not finite
+        t, x = (r_e * s_pp - s_ep * r_p) / det, (s_ep * r_e - s_ee * r_p) / det
+        if math.isfinite(t) and math.isfinite(x):
+            return float(t), float(x)
+    return 0.0, 0.0
 
 
 def resample(state: RapidityState) -> RapidityState:
     """The state on its grid's own lattice (origin 0).
 
-    An origin that is a lattice multiple of the step shifts indices exactly;
-    any other origin evaluates one cubic spline through the real and
-    imaginary parts at grid.thetas - origin.  Amplitudes falling off the grid
+    An origin that is a lattice multiple of the step shifts indices exactly.
+    Otherwise lattice site i sits at source index i + k, k = -origin/step,
+    and one six-point Lagrange filter reads every site from the sites
+    floor(i + k) - 2 .. + 3 of `state.window` plus 3 each side, demodulated:
+    the carrier exp(i (E t - p x)) of the fitted centre (t, x) (`_carrier`)
+    is divided out at the source rapidities and put back exactly at the
+    lattice's.  That is the diagonal phase of `translate`, exact for any
+    (t, x); the fit only smooths the envelope, so the error does not grow
+    with the offset.  Samples beyond the window or the grid read 0, and
+    sites the filter does not reach are 0.  Amplitudes falling off the grid
     are dropped, with a note when the support ends within 5% of its boundary.
     """
     if state.origin == 0.0:
@@ -684,18 +710,25 @@ def resample(state: RapidityState) -> RapidityState:
     th, n = grid.thetas, grid.count
     k = alpha / grid.step
     kr = round(k)
+    new = np.zeros_like(a)
     if abs(k - kr) <= _LATTICE_SNAP:
-        new = np.zeros_like(a)
         if abs(kr) < n:
             new[max(-kr, 0) : n - max(kr, 0)] = a[max(kr, 0) : n - max(-kr, 0)]
     else:
-        from scipy.interpolate import CubicSpline
-
-        parts = CubicSpline(th, np.stack([a.real, a.imag], axis=1), extrapolate=False)(
-            th + alpha
-        )
-        parts[np.isnan(parts)] = 0.0
-        new = parts[:, 0] + 1j * parts[:, 1]
+        win, kf = state.window, math.floor(k)
+        lo, hi = max(win.start - 3, 0), min(win.stop + 3, n)
+        i0, i1 = max(lo - kf, 0), min(hi - kf, n)
+        if i0 < i1:
+            src = th[lo:hi] - alpha
+            e, p = state.mass * np.cosh(src), state.mass * np.sinh(src)
+            t, x = _carrier(a[lo:hi], e, p)
+            env = np.zeros(hi - lo + 5, dtype=complex)
+            env[2:-3] = a[lo:hi] * np.exp(-1j * (e * t - p * x))
+            f, first = k - kf, i0 + kf - lo  # env index of site i0's first tap
+            weights = [math.prod((f - m) / (j - m) for m in _TAPS if m != j) for j in _TAPS]
+            out = sum(w * env[first + r : first + r + i1 - i0] for r, w in enumerate(weights))
+            e, p = state.mass * np.cosh(th[i0:i1]), state.mass * np.sinh(th[i0:i1])
+            new[i0:i1] = out * np.exp(1j * (e * t - p * x))
     notes = state.notes
     mag = np.abs(new)
     sig = np.flatnonzero(mag > _SUPPORT_CUT * np.max(mag))

@@ -202,6 +202,16 @@ def test_empty_chart_renders_blank_panel_with_axes():
     assert "polyline" not in a
 
 
+def test_chart_rejects_a_range_whose_span_overflows():
+    for draw in (
+        lambda: plots.event_chart([("a", [(1e308, 0.0), (-1e308, 1.0)])]),
+        lambda: plots.line_chart([("a", [0.0, 1.0], [1e308, -1e308])]),
+        lambda: plots.line_chart([("a", [0.0, 1.0], [1.7e308, 1.7e308])]),
+    ):
+        with pytest.raises(ValueError, match=r"plot range \[.*e\+308\] is too wide"):
+            draw()
+
+
 def test_heatmap_resolution_cap():
     xs = np.linspace(0, 1, 3000)
     ts = np.linspace(0, 1, 3000)
@@ -526,8 +536,8 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
             # the events are finite, but the plot's axis span overflows
             "coordinate-transform",
             "velocities=[0.0,1e-9] events=[[[1e308,0],[1e308,1]],[[-1e308,0],[-1e308,1]]]",
-            "OverflowError: cannot convert float infinity to integer (given "
-            "velocities=(0.0, 1e-09), events=",
+            "plot range [-1e+308, 1e+308] is too wide to draw: its span overflows "
+            "(given velocities=(0.0, 1e-09), events=",
         ),
         (
             "coordinate-transform",

@@ -43,6 +43,21 @@ def test_validation():
         JointCoordinateState("A", (VelocityBranch(0.5),), ())
 
 
+def test_events_are_built_into_event_coordinates():
+    """(t, x) pairs become EventCoordinates at construction, events that all
+    are one are kept as given, and a non-finite pair is rejected there."""
+    ev = EventCoordinate(3.0, 4.0)
+    state = JointCoordinateState("A", (VelocityBranch(0.5),), (((1, 2.0), ev),))
+    assert state.events == ((EventCoordinate(1.0, 2.0), ev),)
+    assert all(type(e) is EventCoordinate for e in state.events[0])
+    assert state_to_dict(state)["events"] == [[[1.0, 2.0], [3.0, 4.0]]]
+    kept = JointCoordinateState("A", (VelocityBranch(0.5),), ((ev, ev),))
+    assert kept.events[0][0] is ev
+    for bad in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            JointCoordinateState("A", (VelocityBranch(0.5),), ((bad,),))
+
+
 def test_event_coordinate_is_the_kinematics_point():
     assert EventCoordinate is SpacetimePoint
     assert tuple(EventCoordinate(1.0, 2.0)) == (1.0, 2.0)

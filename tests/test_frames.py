@@ -124,6 +124,10 @@ def test_construction_validation(grid):
         )
     with pytest.raises(ValueError):
         BranchedFrameState(**{**good, "frame": "A"})
+    # a system label may name one system only
+    for labels in (("B", "B"), ("A", "B")):
+        with pytest.raises(ValueError, match=f"system label '{labels[0]}' is repeated"):
+            BranchedFrameState(**{**good, "payload_labels": labels, "payloads": ((pay, pay),)})
     with pytest.raises(ValueError):
         BranchedFrameState(**{**good, "payloads": ((pay, pay),)})
     other_mass = normalize(
@@ -438,7 +442,7 @@ def test_superposed_slice_payload_is_tilted_slice(grid):
     surface = TiltedSlice(t_b / ch, math.tanh(omega), GaussianProfile(sh * t_b, sigma * ch))
     tilted = from_spacetime_function(surface, m_b, grid)
     # exact at the payload's own rapidities; on the grid's lattice within
-    # the cubic resampling error
+    # the resampling error
     expect = surface.transform(pay.energies, pay.momenta) / ch
     assert np.max(np.abs(pay.amplitudes - expect)) < 1e-12
     keep = np.abs(grid.thetas) < 8.0

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, trapezoid
-from scipy.interpolate import CubicSpline
 from scipy.special import hankel2, k0
 
 from lorentzqrf import states
@@ -49,16 +48,19 @@ from lorentzqrf.states import (
 )
 
 
-def _random_packet(rng, grid, mass=1.0):
-    f = Gaussian2D(
-        t0=float(rng.uniform(-0.5, 0.5)),
-        x0=float(rng.uniform(-0.5, 0.5)),
+def _random_source(rng, mass=1.0, t0=0.0, x0=0.0):
+    return Gaussian2D(
+        t0=t0 + float(rng.uniform(-0.5, 0.5)),
+        x0=x0 + float(rng.uniform(-0.5, 0.5)),
         sigma_t=float(rng.uniform(0.6, 1.4)),
         sigma_x=float(rng.uniform(0.6, 1.4)),
         energy=mass * float(rng.uniform(1.0, 1.8)),
         momentum=float(rng.uniform(-0.8, 0.8)),
     )
-    return normalize(from_spacetime_function(f, mass, grid))
+
+
+def _random_packet(rng, grid, mass=1.0):
+    return normalize(from_spacetime_function(_random_source(rng, mass), mass, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -390,26 +392,24 @@ def test_translation_moves_wavefunction(grid):
         ) < 1e-12
 
 
-def _parent_boost(state, alpha):
-    """Reference: the boost as an index shift on lattice multiples of the step
-    and two cubic splines otherwise, amplitudes on the grid's own lattice."""
-    grid, a = state.grid, state.amplitudes
-    k = alpha / grid.step
-    kr = round(k)
-    if abs(k - kr) <= 1e-9:
-        new = np.zeros_like(a)
-        if kr == 0:
-            new[:] = a
-        elif kr > 0:
-            if kr < grid.count:
-                new[: grid.count - kr] = a[kr:]
-        elif -kr < grid.count:
-            new[-kr:] = a[: grid.count + kr]
-        return new
-    th = grid.thetas
-    re = CubicSpline(th, a.real, extrapolate=False)(th + alpha)
-    im = CubicSpline(th, a.imag, extrapolate=False)(th + alpha)
-    return np.where(np.isnan(re), 0.0, re) + 1j * np.where(np.isnan(im), 0.0, im)
+def _lattice_shift(state, k):
+    """Reference: the boost by k steps as an index shift on the grid's lattice."""
+    a, n = state.amplitudes, state.grid.count
+    new = np.zeros_like(a)
+    if k == 0:
+        new[:] = a
+    elif k > 0:
+        if k < n:
+            new[: n - k] = a[k:]
+    elif -k < n:
+        new[-k:] = a[: n + k]
+    return new
+
+
+def _exact_boost(f, grid, alpha, mass=1.0):
+    """Oracle: the source transform of f at the boosted rapidities theta + alpha."""
+    th = grid.thetas + alpha
+    return f.transform(mass * np.cosh(th), mass * np.sinh(th))
 
 
 def test_boost_lattice_exactness(grid):
@@ -497,12 +497,41 @@ def test_boost_composition_property(grid, a, b):
     seed=st.integers(0, 2**16),
 )
 def test_resample_matches_grid_boost_property(grid, steps, frac, seed):
-    """resample(boost_state(s, alpha)) is the index-shift/spline boost of the
-    amplitudes on the grid's lattice, bit for bit, on and off the lattice."""
-    s = _random_packet(np.random.default_rng(seed), grid)
+    """resample(boost_state(s, alpha)) is the index shift of the amplitudes,
+    bit for bit, on the lattice, and within 1e-11 max|a| of the exact boosted
+    amplitudes off it."""
+    f = _random_source(np.random.default_rng(seed))
+    raw = from_spacetime_function(f, 1.0, grid)
+    s = normalize(raw)
     alpha = (steps + frac) * grid.step
     got = resample(boost_state(s, alpha)).amplitudes
-    assert np.array_equal(got.view(float), _parent_boost(s, alpha).view(float))
+    if frac < 1e-9:
+        assert np.array_equal(got.view(float), _lattice_shift(s, steps).view(float))
+    else:
+        exact = _exact_boost(f, grid, alpha) / kg_norm(raw)
+        assert np.max(np.abs(got - exact)) <= 1e-11 * np.max(np.abs(s.amplitudes))
+
+
+@pytest.mark.parametrize("t0, x0", [(0.0, 0.0), (20.0, 0.0), (50.0, 0.0), (50.0, 30.0)])
+def test_cross_origin_overlap_error_is_flat_in_the_offset(grid, t0, x0):
+    """kg_inner of a boosted, off-lattice f with g on origin 0 matches the
+    overlap taken with f's exact boosted amplitudes within 1e-10 |f||g|,
+    however far f sits from the origin.  g is that exact boost itself, so
+    the overlap is as large as it can be."""
+    f = _random_source(np.random.default_rng(13), t0=t0, x0=x0)
+    alpha = 0.3 + 0.37 * grid.step
+    exact = _exact_boost(f, grid, alpha)
+    fs, g = from_spacetime_function(f, 1.0, grid), RapidityState(grid, 1.0, exact)
+    got = kg_inner(boost_state(fs, alpha), g)
+    want = np.sum(grid.weights * np.abs(exact) ** 2)
+    assert abs(got - want) <= 1e-10 * kg_norm(fs) * kg_norm(g)
+    # support that reaches the grid edge stays finite and keeps its note
+    edge = from_spacetime_function(Gaussian2D(t0, x0, 1e-4, 1e-4), 1.0, grid)
+    assert any("boundary" in n for n in edge.notes)
+    for beta in (alpha, -alpha):
+        moved = resample(boost_state(edge, beta))
+        assert np.all(np.isfinite(moved.amplitudes.view(float)))
+        assert moved.notes[:-1] == edge.notes and "boundary" in moved.notes[-1]
 
 
 def test_boosted_slice_is_tilted_slice(grid):
@@ -517,7 +546,7 @@ def test_boosted_slice_is_tilted_slice(grid):
     # exact at the boosted state's own rapidities
     expect = surface.transform(b.energies, b.momenta) / ch
     assert np.max(np.abs(b.amplitudes - expect)) < 1e-12
-    # and within the cubic resampling error on the grid's lattice
+    # and within the resampling error on the grid's lattice
     tilted = from_spacetime_function(surface, 1.0, grid)
     keep = np.abs(grid.thetas) < 8.0
     assert np.max(np.abs(resample(b).amplitudes - tilted.amplitudes / ch)[keep]) < 1e-7
