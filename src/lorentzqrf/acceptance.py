@@ -533,7 +533,7 @@ def _contour_oracle_amplitudes(
             (omega * ts + scn.x0, beta * ts - scn.t0, beta * xs, omega * xs)
         )
     cx, ct = -0.25 / (sx * sx), 0.25 / (st * st)
-    width = max(8, (1 << 16) // nt // 8 * 8)
+    width = max(1, (1 << 16) // nt)
     phase, arg, square = (np.empty((width, nt), dtype=complex) for _ in range(3))
     rows = np.empty((len(omegas), nx), dtype=complex)
     for lo in range(0, nx, width):

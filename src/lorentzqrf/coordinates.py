@@ -5,23 +5,18 @@ are exact `kinematics.SpacetimePoint` labels (t, x), laboratories are
 superpositions of velocity branches, and a frame change is one pass over the
 branches that boosts each branch's events by -atanh(v) of its own velocity,
 flips v -> -v and hands the laboratory to the system that was at rest.
-Everything here is closed-form 2x2 matrix algebra per branch; no
-discretization enters.
+Everything here is closed-form 2x2 matrix algebra per branch, with one
+cosh/sinh pair per branch shared by all of its events; no discretization
+enters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
-from .kinematics import (
-    Interval,
-    SpacetimePoint,
-    boost_point,
-    invariant_interval,
-    rapidity_of_velocity,
-)
+from .kinematics import Interval, SpacetimePoint, separation_interval
 
 __all__ = [
     "EventCoordinate",
@@ -88,7 +83,8 @@ def transform_frame(
     Each branch's events are boosted by -atanh(v) of that branch's velocity
     and its velocity flips to -v.  Branch amplitudes are untouched, and two
     opposite transforms restore the velocities exactly and the events up to
-    floating-point roundoff.
+    floating-point roundoff.  Events are the bits of
+    `kinematics.boost_point(-atanh(v), ev)`; one that overflows raises.
     """
     if state.lab_owner != from_label:
         raise ValueError(
@@ -96,9 +92,12 @@ def transform_frame(
         )
     lab, events = [], []
     for branch, row in zip(state.lab, state.events):
-        alpha = -rapidity_of_velocity(branch.v)
-        lab.append(replace(branch, v=-branch.v))
-        events.append(tuple(boost_point(alpha, ev) for ev in row))
+        alpha = -math.atanh(branch.v)
+        ch, sh = math.cosh(alpha), math.sinh(alpha)
+        lab.append(VelocityBranch(-branch.v, branch.amplitude))
+        events.append(
+            tuple(EventCoordinate(ch * ev.t - sh * ev.x, ch * ev.x - sh * ev.t) for ev in row)
+        )
     return JointCoordinateState(to_label, tuple(lab), tuple(events))
 
 
@@ -110,9 +109,10 @@ def distance_expectation(
     Timelike pairs report proper time sqrt(dt^2 - dx^2); spacelike pairs
     report the tagged proper distance instead.  Because each branch's events
     are boosted coherently, the reported value is branch-independent for
-    shared input events and unchanged by transform_frame.
+    shared input events and unchanged by transform_frame.  Each value has the
+    bits of `kinematics.invariant_interval(row[i], row[j])`.
     """
-    return [invariant_interval(row[i], row[j]) for row in state.events]
+    return [separation_interval(r[j].t - r[i].t, r[j].x - r[i].x) for r in state.events]
 
 
 def state_to_dict(state: JointCoordinateState) -> dict:

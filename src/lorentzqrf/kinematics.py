@@ -34,6 +34,7 @@ __all__ = [
     "boost_matrix",
     "boost_point",
     "invariant_interval",
+    "separation_interval",
 ]
 
 
@@ -59,7 +60,8 @@ class SpacetimePoint:
     x: float
 
     def __post_init__(self) -> None:
-        _require_finite("spacetime point", self.t, self.x)
+        if not (math.isfinite(self.t) and math.isfinite(self.x)):
+            _require_finite("spacetime point", self.t, self.x)
 
     def __iter__(self):
         yield self.t
@@ -112,8 +114,15 @@ def invariant_interval(
     ta, xa = a
     tb, xb = b
     _require_finite("spacetime point", ta, xa, tb, xb)
-    dt, dx = tb - ta, xb - xa
+    return separation_interval(tb - ta, xb - xa)
+
+
+def separation_interval(dt: float, dx: float) -> Interval:
+    """invariant_interval of two finite events from their separation (dt, dx);
+    raises ValueError when dt^2 - dx^2 overflows double precision."""
     s2 = dt * dt - dx * dx
+    if not math.isfinite(s2):
+        raise ValueError(f"event separation ({dt!r}, {dx!r}) overflows dt^2 - dx^2")
     if s2 >= 0.0:
         return Interval("timelike", math.sqrt(s2))
     return Interval("spacelike", math.sqrt(-s2))

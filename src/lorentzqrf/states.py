@@ -660,12 +660,18 @@ def boost_state(state: RapidityState, alpha: float) -> RapidityState:
     image of the original support (wavefunction covariance:
     psi'(boost_point(alpha, pt)) == psi(pt)).
 
-    Only the origin moves, by -alpha; the amplitudes are shared unchanged,
-    so the boost is exact at every rapidity and drops nothing.
+    Only the origin moves, by -alpha; the validated, read-only amplitudes
+    and any cached `window` are shared unchanged, so the boost is O(1),
+    exact at every rapidity and drops nothing.
     """
     if not math.isfinite(alpha):
         raise ValueError("boost rapidity must be finite")
-    return replace(state, origin=state.origin - alpha)
+    origin = state.origin - alpha
+    if not math.isfinite(origin):
+        raise ValueError("rapidity origin must be finite")
+    boosted = object.__new__(type(state))
+    boosted.__dict__.update(vars(state), origin=origin)
+    return boosted
 
 
 _LATTICE_SNAP = 1e-9  # |origin/step - round| below this counts as a lattice shift

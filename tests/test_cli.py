@@ -530,7 +530,7 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
         (
             "coordinate-transform",
             "events=[[[1e308,0],[-1e308,0]],[[0,0],[1,1]]]",
-            "reports may not contain non-finite numbers, got nan (given events=",
+            "event separation (-inf, 0.0) overflows dt^2 - dx^2 (given events=",
         ),
         (
             # the events are finite, but the plot's axis span overflows

@@ -1,5 +1,6 @@
 """Tests for exact coordinate-level frame changes."""
 
+import itertools
 import json
 import math
 
@@ -16,7 +17,13 @@ from lorentzqrf.coordinates import (
     state_to_dict,
     transform_frame,
 )
-from lorentzqrf.kinematics import SpacetimePoint, boost_matrix, rapidity_of_velocity
+from lorentzqrf.kinematics import (
+    SpacetimePoint,
+    boost_matrix,
+    boost_point,
+    invariant_interval,
+    rapidity_of_velocity,
+)
 from lorentzqrf.report import canonical_json
 
 
@@ -269,3 +276,58 @@ def test_state_dict_round_trip_property(s):
     assert state_from_dict(state_to_dict(s)) == s
     # through the report's canonical JSON text as well
     assert state_from_dict(json.loads(canonical_json(state_to_dict(s)))) == s
+
+
+def _bits(obj):
+    """A dataclass's fields with floats as exact bits (float.hex keeps the
+    sign of zero)."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in vars(obj).values())
+
+
+def _oracle(f, *args):
+    """_bits of f(*args), or ValueError if it raises that."""
+    try:
+        return _bits(f(*args))
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def _wide_joint_states(draw):
+    """States whose coordinates reach +-1e308, where boosts and separations
+    can overflow."""
+    n_branch, n_events = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    coordinate = st.one_of(
+        _coordinates, st.floats(-1e308, 1e308), st.sampled_from((-1e308, 1e308))
+    )
+    lab = tuple(VelocityBranch(draw(st.floats(-0.999, 0.999))) for _ in range(n_branch))
+    events = tuple(
+        tuple(EventCoordinate(draw(coordinate), draw(coordinate)) for _ in range(n_events))
+        for _ in range(n_branch)
+    )
+    return JointCoordinateState("A", lab, events)
+
+
+@given(_wide_joint_states())
+def test_frame_change_matches_per_event_oracles(s):
+    """transform_frame events are the bits of boost_point(-atanh(v), ev) and
+    distance_expectation intervals those of invariant_interval; where an
+    oracle raises ValueError (overflow), the fast path raises it too."""
+    boosted = [
+        [_oracle(boost_point, -math.atanh(b.v), ev) for ev in row]
+        for b, row in zip(s.lab, s.events)
+    ]
+    if any(ValueError in row for row in boosted):
+        with pytest.raises(ValueError, match="finite"):
+            transform_frame(s, "A", "B")
+    else:
+        moved = transform_frame(s, "A", "B")
+        assert [[_bits(ev) for ev in row] for row in moved.events] == boosted
+        assert [b.v for b in moved.lab] == [-b.v for b in s.lab]
+    for i, j in itertools.product(range(s.n_events), repeat=2):
+        want = [_oracle(invariant_interval, row[i], row[j]) for row in s.events]
+        if ValueError in want:
+            with pytest.raises(ValueError, match="overflows"):
+                distance_expectation(s, i, j)
+        else:
+            assert [_bits(iv) for iv in distance_expectation(s, i, j)] == want

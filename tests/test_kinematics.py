@@ -69,6 +69,19 @@ def test_interval_tags_and_values():
     assert light.kind == "timelike" and light.value == 0.0
 
 
+def test_interval_rejects_an_overflowing_separation():
+    """Finite events whose dt^2 - dx^2 overflows raise instead of returning
+    a nan or inf interval."""
+    for a, b in (
+        ((1e308, 1e308), (-1e308, -1e308)),  # was Interval('spacelike', nan)
+        ((1e308, 0.0), (-1e308, 0.0)),  # was Interval('timelike', inf)
+        ((0.0, 0.0), (1e200, 0.0)),
+    ):
+        with pytest.raises(ValueError, match="overflows"):
+            invariant_interval(a, b)
+    assert invariant_interval((0.0, 0.0), (1e150, 0.0)) == Interval("timelike", 1e150)
+
+
 def test_interval_boost_invariance():
     rng = np.random.default_rng(13)
     for _ in range(200):

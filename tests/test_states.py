@@ -475,6 +475,30 @@ def test_boost_state_rejects_non_finite_rapidity(grid):
         RapidityState(grid, 1.0, s.amplitudes, origin=math.nan)
 
 
+def test_boost_state_is_constant_bookkeeping(grid):
+    """A boost shares the validated amplitudes and the cached window, moves
+    only the origin (back exactly under the opposite boost), and still
+    rejects an origin that overflows; with_amplitudes recomputes the window."""
+    s = _random_packet(np.random.default_rng(12), grid)
+    win = s.window
+    for alpha in (0.61, 64 * grid.step):
+        b = boost_state(s, alpha)
+        assert b.amplitudes is s.amplitudes
+        assert b.window is win
+        assert (b.grid, b.mass, b.notes) == (s.grid, s.mass, s.notes)
+        assert boost_state(b, -alpha).origin == s.origin == 0.0
+    far = boost_state(s, -1e308)
+    with pytest.raises(ValueError, match="rapidity origin must be finite"):
+        boost_state(far, -1e308)
+    with pytest.raises(ValueError, match="finite"):
+        boost_state(far, math.nan)
+    narrow = np.zeros(grid.count, dtype=complex)
+    narrow[100:110] = 1.0
+    moved = boost_state(s, 0.61).with_amplitudes(narrow)
+    assert moved.window == slice(100, 110) != win
+    assert moved.origin == -0.61 and moved.amplitudes is not s.amplitudes
+
+
 @settings(max_examples=20)
 @given(
     a=st.floats(-3.0, 3.0, allow_subnormal=False),
