@@ -39,7 +39,6 @@ from .frames import (
     BranchedFrameState,
     CyclicLattice,
     DeltaTime,
-    GaussianTime,
     LatticeTwirlState,
     SharpBranch,
     SharpExternalState,
@@ -48,7 +47,6 @@ from .frames import (
     jump_to_frame,
     superposed_slice_state,
     total_norm,
-    transformed_evolution,
     twirl_factor_fidelity,
     twirl_lattice,
 )

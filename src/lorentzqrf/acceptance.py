@@ -491,10 +491,10 @@ def _contour_oracle_amplitudes(
     """2-D tensor Gauss-Legendre quadrature on the contour t -> t - i*eps,
     one probe amplitude per boost rapidity in `omegas`.
 
-    Independent of the production route (closed-form x integral + adaptive
-    real-axis t quadrature): here both integrals are discretized, and the
-    kernel singularity is avoided by analytic continuation instead of
-    cancellation.
+    Independent of the production route (closed-form x integral + panel
+    rule on the real t axis in u = sqrt|t - tp|): here both integrals are
+    discretized, and the kernel singularity at t = tp is avoided by analytic
+    continuation instead of being cancelled in closed form.
 
     Each node's integrand is the packet times the propagator kernel,
     sqrt(m / (i d)) exp(i m (x - xp)^2 / (2 d)) with d = t - tp, taken as one

@@ -16,17 +16,8 @@ i (exactly: only its rapidity origin moves, so a round trip from origin 0
 restores it bit for bit), and, when the old sharp system carries a temporal
 wave profile g(t), each branch amplitude picks up the transfer factor
 g^(m cosh omega_i), where g^(E) = integral dt e^{iEt} g(t) and m is the
-sharp system's mass.  A Dirac profile at t0 contributes pure phases
-exp(i m cosh(omega_i) t0); a Gaussian profile damps fast branches and
-rescales the norm.
-
-`transformed_evolution` applies, inside an already-jumped state, the pair of
-evolutions (frame particle by t_frame, payloads by t_payload as defined in
-the original frame): branch i gains exp(+i M cosh(omega_i) t_frame) with M
-the current frame mass, and each payload in branch i is translated along the
-branch's tilted time axis, translate(-cosh(omega_i) t_payload,
-+sinh(omega_i) t_payload) - equivalently amplitudes are multiplied by
-exp(-i m_B cosh(theta + omega_i) t_payload).
+sharp system's mass.  The Dirac profile at t0 (`DeltaTime`) contributes
+pure phases exp(i m cosh(omega_i) t0).
 
 The module also contains an exactly solvable model of the same frame-change
 on a finite cyclic rapidity lattice (`twirl_lattice`, `jump_to_frame`),
@@ -38,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,18 +43,15 @@ from .states import (
     from_spacetime_function,
     kg_inner,
     resample,
-    translate,
 )
 
 __all__ = [
     "DeltaTime",
-    "GaussianTime",
     "SharpBranch",
     "BranchedFrameState",
     "total_norm",
     "branch_overlap_matrix",
     "change_frame",
-    "transformed_evolution",
     "superposed_slice_state",
     "CyclicLattice",
     "SharpExternalState",
@@ -75,7 +63,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# temporal profiles carried by the sharp system
+# the temporal profile carried by the sharp system
 
 
 @dataclass(frozen=True)
@@ -86,29 +74,6 @@ class DeltaTime:
 
     def fourier(self, e: float) -> complex:
         return cmath.exp(1j * e * self.t0)
-
-
-@dataclass(frozen=True)
-class GaussianTime:
-    """Gaussian time profile exp(-(t-t0)^2 / 4 sigma^2)."""
-
-    t0: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise ValueError("time profile sigma must be positive")
-
-    def fourier(self, e: float) -> complex:
-        return (
-            2.0
-            * self.sigma
-            * math.sqrt(math.pi)
-            * cmath.exp(1j * e * self.t0 - self.sigma**2 * e * e)
-        )
-
-
-TimeProfile = DeltaTime | GaussianTime
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +102,7 @@ class BranchedFrameState:
     branches: tuple[SharpBranch, ...]
     payload_labels: tuple[str, ...] = ()
     payloads: tuple[tuple[RapidityState, ...], ...] = ()
-    time_profile: TimeProfile | None = None
+    time_profile: DeltaTime | None = None
 
     def __post_init__(self) -> None:
         check_mass(self.frame_mass)
@@ -251,27 +216,6 @@ def change_frame(
         payloads=tuple(new_payloads),
         time_profile=None,
     )
-
-
-def transformed_evolution(
-    state: BranchedFrameState, frame_time: float, payload_time: float
-) -> BranchedFrameState:
-    """Evolution pair (frame particle, payloads) expressed in the jumped frame.
-
-    Branch i gains exp(+i M cosh(omega_i) frame_time) with M the current
-    frame mass; each payload in branch i is translated along that branch's
-    tilted time axis by payload_time.
-    """
-    new_branches = []
-    new_payloads = []
-    for branch, row in zip(state.branches, state.payloads):
-        ch, sh = math.cosh(branch.rapidity), math.sinh(branch.rapidity)
-        phase = cmath.exp(1j * state.frame_mass * ch * frame_time)
-        new_branches.append(replace(branch, amplitude=branch.amplitude * phase))
-        new_payloads.append(
-            tuple(translate(p, -ch * payload_time, sh * payload_time) for p in row)
-        )
-    return replace(state, branches=tuple(new_branches), payloads=tuple(new_payloads))
 
 
 def superposed_slice_state(

@@ -55,6 +55,7 @@ from .states import (
     resample,
     slice_profile,
     wavefunction_grid,
+    _gauss_panels,
 )
 
 __all__ = [
@@ -380,16 +381,8 @@ def run_time_dilation(scn: DilationScenario) -> ScenarioReport:
             measured, grids[label], notes = _dilation_packet_interval(scn, omega)
             path = "wave-packet"
             warnings.extend(f"branch {label}: {note}" for note in notes)
-        checks.append(
-            BranchCheck(
-                label=label,
-                parameter=omega,
-                predicted=math.cosh(omega) * scn.dt,
-                measured=measured,
-                tolerance=scn.tolerance,
-                path=path,
-            )
-        )
+        predicted = math.cosh(omega) * scn.dt
+        checks.append(BranchCheck(label, omega, predicted, measured, scn.tolerance, path))
     if scn.mode != "exact-event":
         details["sigma"] = scn.sigma
         details["mass"] = scn.mass
@@ -536,17 +529,11 @@ def run_width_contraction(scn: WidthScenario) -> ScenarioReport:
         xs = np.linspace(-6.0 * predicted, 6.0 * predicted, 601)
         prof = np.abs(slice_profile(pay, 0.0, xs)) ** 2
         fit = gaussian_fit(xs, prof, 0.0, predicted)
+        label = f"omega={omega:g}"
         checks.append(
-            BranchCheck(
-                label=f"omega={omega:g}",
-                parameter=omega,
-                predicted=predicted,
-                measured=fit.sigma,
-                tolerance=scn.tolerance,
-                path="wave-packet",
-            )
+            BranchCheck(label, omega, predicted, fit.sigma, scn.tolerance, "wave-packet")
         )
-        grids[f"omega={omega:g}"] = {
+        grids[label] = {
             "x": xs.tolist(),
             "profile": prof.tolist(),
             "fit_sigma": fit.sigma,
@@ -764,47 +751,83 @@ class InterferenceScenario:
             )
 
 
+# Radians the probe's kernel may turn per panel (a seeded sweep met the
+# rounding floor at 30, not at 50); past _MAX_PROBE_PANELS a side costs too much.
+_PROBE_TURN = 20.0
+_MAX_PROBE_PANELS = 1 << 16
+
+
 def interference_amplitude(scn: InterferenceScenario, omega: float) -> complex:
     """<branch packet | probe>: expanded-boost Gaussian against the kernel.
 
-    The spatial integral is done in closed form (Gaussian times quadratic
-    phase); the remaining time integral runs through the integrable kernel
-    singularity at t = t', where the closed-form factors stay bounded.
-    """
-    m, sx, st = scn.mass, scn.sigma_x, scn.sigma_t
-    tp, xp = scn.tp, scn.xp
-    beta = 1.0 + omega * omega / 2.0
+    With -A x^2 + B0 x + C0 the packet's exponent at time t, d = t - tp,
+    kappa = m/(2A) and r = 1/(1 + i d/kappa), the x integral in closed form is
+        sqrt(2 pi r) exp(P - A dev^2 r),  P = B0^2/(4A) + C0,  dev = B0/(2A) - xp,
+    which is sqrt(pi m/(m/2 + i A d)) exp((B0^2 d - 2i m xp B0 + 2i m A xp^2)
+    / (4A d - 2i m) + C0) with the +-i m xp^2/(2d) terms cancelled: nothing is
+    singular at t = tp, and as m -> inf it tends to sqrt(2 pi) packet(t, xp).
 
-    def integrand(t: float) -> complex:
-        d = t - tp
+    The t integral over t0 +- 14 sigma_t is one `_gauss_panels` sum per side of
+    tp, in u = sqrt|d| (dt = 2u du), or in t if tp is outside the window, on
+    edges merged from steps of 2 sigma_t; |d| = d_hi 4^-k down to kappa/16, which
+    grade towards r's branch point; and equal steps in theta = atan(|d|/kappa),
+    where -A dev^2 r = -A dev^2 cos(theta) e^{-i theta} turns at rate A dev^2.
+    """
+    m, sx, st, tp = scn.mass, scn.sigma_x, scn.sigma_t, scn.tp
+    beta = 1.0 + omega * omega / 2.0
+    a = beta * beta / (4 * sx * sx) + omega * omega / (4 * st * st)
+    kappa = min(m / (2 * a), sys.float_info.max)  # r = 1 to rounding beyond it
+
+    def packet(t):
         u = omega * t + scn.x0
         w = beta * t - scn.t0
-        a = beta * beta / (4 * sx * sx) + omega * omega / (4 * st * st) - 1j * m / (
-            2 * d
-        )
-        b = beta * u / (2 * sx * sx) + omega * w / (2 * st * st) - 1j * m * xp / d
-        c = -u * u / (4 * sx * sx) - w * w / (4 * st * st) + 1j * m * xp * xp / (2 * d)
-        return (
-            cmath.sqrt(m / (1j * d))
-            * cmath.sqrt(math.pi / a)
-            * cmath.exp(b * b / (4 * a) + c)
-        )
+        b0 = beta * u / (2 * sx * sx) + omega * w / (2 * st * st)
+        c0 = -u * u / (4 * sx * sx) - w * w / (4 * st * st)
+        return b0 * b0 / (4 * a) + c0, b0 / (2 * a) - scn.xp
 
-    from scipy.integrate import quad
+    def integrand(t, d):
+        p, dev = packet(t)
+        # r = cos(theta) e^{-i theta}, theta = atan2(d, kappa), in finite ratios
+        h = np.hypot(kappa, d)
+        r = (kappa / h) * (kappa / h - 1j * (d / h))
+        return np.sqrt(2 * math.pi * r) * np.exp(p - a * dev * dev * r)
 
-    half_width = 14.0 * st
-    lo, hi = scn.t0 - half_width, scn.t0 + half_width
-    pieces = [(lo, hi)]
-    if lo < tp < hi:
-        pieces = [(lo, tp), (tp, hi)]
+    lo, hi = scn.t0 - 14.0 * st, scn.t0 + 14.0 * st
     total = 0.0 + 0.0j
-    for a_lim, b_lim in pieces:
-        # quad's default absolute tolerance (1.49e-8) would swamp amplitudes
-        # far below it; scale it to the integrand's own size instead
-        eps = 1e-14 * quad(lambda t: abs(integrand(t)), a_lim, b_lim, limit=400)[0]
-        re = quad(lambda t: integrand(t).real, a_lim, b_lim, epsabs=eps, limit=400)
-        im = quad(lambda t: integrand(t).imag, a_lim, b_lim, epsabs=eps, limit=400)
-        total += re[0] + 1j * im[0]
+    for side in (-1.0, 1.0):
+        d_lo, d_hi = sorted((side * (lo - tp), side * (hi - tp)))
+        if d_hi <= 0.0:
+            continue
+        d_lo = max(d_lo, 0.0)
+        rate = a * max(packet(tp + side * d)[1] ** 2 for d in (d_lo, d_hi))
+        th_lo, th_hi = math.atan2(d_lo, kappa), math.atan2(d_hi, kappa)
+        steps = math.ceil(rate * (th_hi - th_lo) / _PROBE_TURN)
+        if steps > _MAX_PROBE_PANELS:
+            raise ValueError(
+                f"the probe's kernel turns {rate * (th_hi - th_lo):.3g} rad on one side "
+                f"of tp, more than {_MAX_PROBE_PANELS} panels of {_PROBE_TURN:g} rad"
+            )
+        levels = math.log(2 * a * d_hi, 4) - math.log(m, 4)  # log4(d_hi / kappa)
+        d = np.concatenate((
+            kappa * np.tan(np.linspace(th_lo, th_hi, steps + 1)[1:-1]),
+            d_hi * 0.25 ** np.arange(1.0, levels + 2.0),
+        ))
+        d = d[(d > d_lo) & (d < d_hi)]
+        if d_lo == 0.0:  # in u = sqrt|d|, where dt = 2u du
+            envelope = np.linspace(0.0, d_hi, math.ceil(d_hi / (2 * st)) + 1)
+            edges = np.sqrt(np.unique(np.concatenate((d, envelope))))
+
+            def f(u, side=side):
+                return 2 * u * integrand(tp + side * u * u, side * u * u)
+        else:  # tp outside the window: one plain panel range in t
+            envelope = np.linspace(lo, hi, 15)
+            edges = np.unique(np.concatenate((np.clip(tp + side * d, lo, hi), envelope)))
+
+            def f(t):
+                return integrand(t, t - tp)
+
+        for i in range(0, len(edges) - 1, 4096):  # a few MB of nodes at a time
+            total += _gauss_panels(f, edges[i : i + 4097])
     return total
 
 
@@ -819,27 +842,14 @@ def run_nonrel_interference(scn: InterferenceScenario) -> ScenarioReport:
     value is the conditional probability p_sign / (p_+ + p_-); raw densities
     sit in the components.
     """
-    from scipy.integrate import IntegrationWarning
-
-    # the probe's quadrature warnings belong in the report, not on stderr
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always", IntegrationWarning)
-        amp1 = interference_amplitude(scn, scn.omega1)
-        amp2 = interference_amplitude(scn, scn.omega2)
-    warnings = []
-    for w in caught:
-        if not issubclass(w.category, IntegrationWarning):
-            _warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-            continue
-        note = "probe quadrature: " + " ".join(str(w.message).split())
-        if note not in warnings:
-            warnings.append(note)
+    amp1 = interference_amplitude(scn, scn.omega1)
+    amp2 = interference_amplitude(scn, scn.omega2)
     b1, b2 = abs(amp1) ** 2, abs(amp2) ** 2
     cross = (amp1 * amp2.conjugate()).real
     p_plus = 0.5 * (b1 + b2) + cross
     p_minus = 0.5 * (b1 + b2) - cross
     total = b1 + b2
-    if not (math.isfinite(total) and total > 0.0):
+    if not sys.float_info.min <= total < math.inf:  # subnormal totals lost their digits
         raise ValueError(
             f"the probe's detection density is {total!r}: its amplitudes "
             "underflow or overflow, so no outcome probability is defined"
@@ -850,6 +860,7 @@ def run_nonrel_interference(scn: InterferenceScenario) -> ScenarioReport:
         )
     else:
         overlap = 0.0 if scn.omega1 != scn.omega2 else 1.0
+    warnings = []
     if overlap >= 1e-3 and scn.omega1 != scn.omega2:
         warnings.append(
             f"frame branch overlap {overlap:.3g} >= 1e-3: postselection states "
@@ -859,20 +870,12 @@ def run_nonrel_interference(scn: InterferenceScenario) -> ScenarioReport:
     value = p_signed / total
     checks = (
         BranchCheck(
-            label="outcome-completeness",
-            parameter=float(scn.sign),
-            predicted=total,
-            measured=p_plus + p_minus,
-            tolerance=1e-10,
-            path="wave-packet",
+            "outcome-completeness", float(scn.sign), total, p_plus + p_minus, 1e-10,
+            "wave-packet",
         ),
         BranchCheck(
-            label="frame-overlap-small",
-            parameter=scn.omega1 - scn.omega2,
-            predicted=0.0,
-            measured=overlap,
-            tolerance=1e-3,
-            path="exact-coordinate",
+            "frame-overlap-small", scn.omega1 - scn.omega2, 0.0, overlap, 1e-3,
+            "exact-coordinate",
         ),
     )
     return ScenarioReport(
@@ -949,18 +952,13 @@ def run_coordinate_transform(scn: CoordinateScenario) -> ScenarioReport:
     moved = coords.transform_frame(state, scn.owner, scn.target)
     before = coords.distance_expectation(state, 0, 1)
     after = coords.distance_expectation(moved, 0, 1)
-    checks = []
-    for branch, b_int, a_int in zip(state.lab, before, after):
-        checks.append(
-            BranchCheck(
-                label=f"v={branch.v:g}:interval",
-                parameter=branch.v,
-                predicted=b_int.value,
-                measured=a_int.value,
-                tolerance=1e-12,
-                path="exact-coordinate",
-            )
+    checks = [
+        BranchCheck(
+            f"v={branch.v:g}:interval", branch.v, b_int.value, a_int.value, 1e-12,
+            "exact-coordinate",
         )
+        for branch, b_int, a_int in zip(state.lab, before, after)
+    ]
     before_dict, after_dict = coords.state_to_dict(state), coords.state_to_dict(moved)
     return ScenarioReport(
         scenario="coordinate-transform",

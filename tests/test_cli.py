@@ -5,6 +5,10 @@ scipy.special appears only as an oracle for the propagator table values.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -652,15 +656,39 @@ def test_run_interference_scenario(tmp_path):
 
 
 def test_run_interference_rejects_an_underflowing_probe(tmp_path, capsys):
-    # at this mass every amplitude underflows to 0, and a completeness check
-    # on 0 = 0 would pass
+    # with the packet 100 widths from the probe, at a mass where the kernel is
+    # all but a delta at xp, every amplitude underflows to 0, and a
+    # completeness check on 0 = 0 would pass
     out = tmp_path / "out"
-    argv = ["run", "--scenario", "nonrel-interference", "--set", "m=1e300"]
+    argv = ["run", "--scenario", "nonrel-interference"]
+    argv += ["--set", "m=1e300", "--set", "x0=100"]
     assert cli.main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "detection density is 0.0" in err
-    assert err.rstrip().endswith("(given m=1e+300)")
+    assert err.rstrip().endswith("(given m=1e+300, x0=100.0)")
     assert not out.exists()
+
+
+def test_runs_load_scipy_only_where_they_fit(tmp_path):
+    # in a fresh interpreter an exact-coordinate run loads no scipy module,
+    # and the interference probe, on the panel rule, no scipy.integrate
+    out = str(tmp_path)
+    code = (
+        "import json, sys\n"
+        "from lorentzqrf import cli\n"
+        f"cli.main(['run', '--scenario', 'length-contraction', '--out', {out!r}])\n"
+        "exact = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"cli.main(['run', '--scenario', 'nonrel-interference', '--out', {out!r}])\n"
+        "print(json.dumps([exact, 'scipy.integrate' in sys.modules]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert json.loads(run.stdout.splitlines()[-1]) == [[], False]
 
 
 def test_run_coordinate_transform_scenario(tmp_path):
@@ -761,9 +789,9 @@ def test_run_boosts_scalar_omega_coerced(tmp_path):
         ),
         (
             "nonrel-interference",
-            "m=3000",
-            0,
-            "probe quadrature: The occurrence of roundoff error is detected",
+            "frame_width=0.05",
+            2,
+            "frame branch overlap 0.923 >= 1e-3",
         ),
     ],
 )

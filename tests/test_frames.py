@@ -11,7 +11,6 @@ from lorentzqrf.frames import (
     BranchedFrameState,
     CyclicLattice,
     DeltaTime,
-    GaussianTime,
     LatticeTwirlState,
     SharpBranch,
     SharpExternalState,
@@ -20,7 +19,6 @@ from lorentzqrf.frames import (
     jump_to_frame,
     superposed_slice_state,
     total_norm,
-    transformed_evolution,
     twirl_factor_fidelity,
     twirl_lattice,
 )
@@ -36,7 +34,6 @@ from lorentzqrf.states import (
     kg_norm,
     normalize,
     resample,
-    translate,
 )
 
 
@@ -324,69 +321,6 @@ def test_change_frame_delta_profile_phases(grid):
         0.8 * cmath.exp(1j * m_sharp * math.cosh(0.5) * t0), abs=1e-14
     )
     assert jumped.time_profile is None
-
-
-def test_change_frame_gaussian_profile_damps_fast_branches(grid):
-    m_sharp = 2.0
-    profile = GaussianTime(0.0, 0.8)
-    state = _two_branch_state(
-        grid, (0.0, 1.5), (1.0, 1.0), profile=profile, branch_mass=m_sharp
-    )
-    jumped = change_frame(state, "C", "A")
-    amps = {round(b.rapidity, 6): abs(b.amplitude) for b in jumped.branches}
-    expected_slow = abs(profile.fourier(m_sharp))
-    expected_fast = abs(profile.fourier(m_sharp * math.cosh(1.5)))
-    assert amps[0.0] == pytest.approx(expected_slow, rel=1e-12)
-    assert amps[-1.5] == pytest.approx(expected_fast, rel=1e-12)
-    assert amps[-1.5] < amps[0.0]
-
-
-# ---------------------------------------------------------------------------
-# transformed evolution
-
-
-def test_transformed_evolution_rest_branch_is_plain_evolution(grid):
-    state = _two_branch_state(grid, (0.0, 0.5), (1.0, 0.5))
-    t_frame, t_pay = 0.7, 1.3
-    out = transformed_evolution(state, t_frame, t_pay)
-    rest = out.payloads[0][0]
-    np.testing.assert_allclose(
-        rest.amplitudes,
-        translate(state.payloads[0][0], -t_pay, 0.0).amplitudes,
-        atol=1e-14,
-    )
-    assert out.branches[0].amplitude == pytest.approx(
-        state.branches[0].amplitude * cmath.exp(1j * state.frame_mass * t_frame),
-        abs=1e-14,
-    )
-
-
-def test_transformed_evolution_conjugation_oracle(grid):
-    # payload update must equal: undo the branch boost, evolve, redo the boost
-    h = grid.step
-    omega = 40 * h
-    state = _two_branch_state(grid, (-omega, omega), (0.6, 0.8))
-    t_pay = 0.9
-    out = transformed_evolution(state, 0.0, t_pay)
-    for branch, row_in, row_out in zip(state.branches, state.payloads, out.payloads):
-        om = branch.rapidity
-        expected = boost_state(translate(boost_state(row_in[0], -om), -t_pay, 0.0), om)
-        np.testing.assert_allclose(
-            row_out[0].amplitudes, expected.amplitudes, atol=1e-12
-        )
-
-
-def test_transformed_evolution_norm_and_consistency(grid):
-    state = _two_branch_state(grid, (-0.4, 0.9), (0.6, 0.8))
-    out = transformed_evolution(state, 1.1, 2.3)
-    assert abs(total_norm(out) - total_norm(state)) < 1e-12
-    # composition in time
-    two_step = transformed_evolution(transformed_evolution(state, 0.4, 0.9), 0.7, 1.4)
-    one_step = transformed_evolution(state, 1.1, 2.3)
-    for a, b in zip(two_step.branches, one_step.branches):
-        assert a.amplitude == pytest.approx(b.amplitude, abs=1e-13)
-    for ra, rb in zip(two_step.payloads, one_step.payloads):
-        np.testing.assert_allclose(ra[0].amplitudes, rb[0].amplitudes, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the end-to-end scenario runners."""
 
+import cmath
 import math
 
 import numpy as np
@@ -356,8 +357,8 @@ def test_interference_amplitudes_match_contour_oracle():
 
 
 def test_interference_small_amplitudes_match_contour_oracle():
-    """Amplitudes far below quad's default absolute tolerance (1.49e-8):
-    here |amp| ~ 1.6e-9 while the integrand's modulus integrates to ~ 5e-4."""
+    """Amplitudes far below the integrand's own size: here |amp| ~ 1.6e-9
+    while the integrand's modulus integrates to ~ 5e-4."""
     scn = InterferenceScenario(
         x0=3, t0=1, sigma_x=0.05, sigma_t=0.75, mass=80,
         omega1=0.08, omega2=0.07, tp=-2, xp=0,
@@ -384,12 +385,95 @@ def test_interference_report_components():
     )
 
 
-def test_interference_quadrature_warnings_reach_the_report():
-    # the test configuration turns an escaping IntegrationWarning into an error
-    assert run_nonrel_interference(InterferenceScenario()).warnings == ()
-    notes = run_nonrel_interference(InterferenceScenario(mass=3000)).warnings
-    assert len(notes) == 1
-    assert notes[0].startswith("probe quadrature: The occurrence of roundoff error")
+def _quad_amplitude(scn, omega):
+    """The probe's former route, kept as an oracle: the x integral in closed
+    form with the kernel in its own form, split at tp, through adaptive quad
+    for the real and imaginary parts at an absolute tolerance scaled to the
+    integrand's modulus.  Returns the amplitude and that modulus' integral."""
+    from scipy.integrate import quad
+
+    m, sx, st = scn.mass, scn.sigma_x, scn.sigma_t
+    tp, xp = scn.tp, scn.xp
+    beta = 1.0 + omega * omega / 2.0
+
+    def integrand(t):
+        d = t - tp
+        u = omega * t + scn.x0
+        w = beta * t - scn.t0
+        a = beta**2 / (4 * sx * sx) + omega**2 / (4 * st * st) - 1j * m / (2 * d)
+        b = beta * u / (2 * sx * sx) + omega * w / (2 * st * st) - 1j * m * xp / d
+        c = -u * u / (4 * sx * sx) - w * w / (4 * st * st) + 1j * m * xp * xp / (2 * d)
+        return (
+            cmath.sqrt(m / (1j * d))
+            * cmath.sqrt(math.pi / a)
+            * cmath.exp(b * b / (4 * a) + c)
+        )
+
+    lo, hi = scn.t0 - 14.0 * st, scn.t0 + 14.0 * st
+    pieces = [(lo, tp), (tp, hi)] if lo < tp < hi else [(lo, hi)]
+    total, modulus = 0.0 + 0.0j, 0.0
+    for a_lim, b_lim in pieces:
+        size = quad(lambda t: abs(integrand(t)), a_lim, b_lim, limit=400)[0]
+        re = quad(lambda t: integrand(t).real, a_lim, b_lim, epsabs=1e-14 * size, limit=400)
+        im = quad(lambda t: integrand(t).imag, a_lim, b_lim, epsabs=1e-14 * size, limit=400)
+        total += re[0] + 1j * im[0]
+        modulus += size
+    return total, modulus
+
+
+def _large_mass_limit(scn, omega):
+    """sqrt(2 pi) times the t integral of the packet at x = xp, since the
+    kernel tends to sqrt(2 pi) delta(x - xp) as m -> inf: the packet's
+    exponent there is -a t^2 + b t + c."""
+    beta = 1.0 + omega * omega / 2.0
+    sx2, st2 = 4 * scn.sigma_x**2, 4 * scn.sigma_t**2
+    ex, et = beta * scn.xp - scn.x0, omega * scn.xp + scn.t0
+    a = omega**2 / sx2 + beta**2 / st2
+    b = 2 * omega * ex / sx2 + 2 * beta * et / st2
+    c = -(ex**2) / sx2 - et**2 / st2
+    return math.sqrt(2 * math.pi) * math.sqrt(math.pi / a) * math.exp(b * b / (4 * a) + c)
+
+
+def test_interference_matches_the_quad_route():
+    rng = np.random.default_rng(1515)
+    compared = 0
+    while compared < 30:
+        log_w = rng.uniform(math.log(0.05), math.log(2.0), size=2)
+        try:
+            scn = InterferenceScenario(
+                x0=rng.uniform(-3, 3), t0=rng.uniform(-3, 3),
+                sigma_x=math.exp(log_w[0]), sigma_t=math.exp(log_w[1]),
+                mass=math.exp(rng.uniform(math.log(0.1), math.log(1000.0))),
+                omega1=rng.uniform(-0.1, 0.1), omega2=rng.uniform(-0.1, 0.1),
+                tp=rng.uniform(-5, 5), xp=rng.uniform(-5, 5),
+            )
+        except ValueError:
+            continue
+        for om in (scn.omega1, scn.omega2):
+            oracle, modulus = _quad_amplitude(scn, om)
+            if abs(oracle) >= 1e-6 * modulus:  # well conditioned
+                assert abs(interference_amplitude(scn, om) - oracle) <= 1e-8 * abs(oracle)
+                compared += 1
+
+
+@pytest.mark.parametrize("mass", [1e9, 1e12, 1e300])
+def test_interference_tends_to_the_large_mass_limit(mass):
+    scn = InterferenceScenario(mass=mass)
+    for om in (scn.omega1, scn.omega2):
+        limit = _large_mass_limit(scn, om)
+        err = abs(interference_amplitude(scn, om) - limit)
+        assert err <= (1.0 / mass + 1e-13) * abs(limit)
+
+
+def test_interference_at_mass_3000_is_quiet_and_near_its_limit():
+    # the deviation from the limit is O(1/m): 0.6/m and 0.65/m here
+    scn = InterferenceScenario(mass=3000)
+    report = run_nonrel_interference(scn)
+    assert report.warnings == ()
+    comp = report.details["components"]
+    for om, key in ((scn.omega1, "amp_one"), (scn.omega2, "amp_two")):
+        amp = complex(comp[key + "_re"], comp[key + "_im"])
+        assert abs(amp - _large_mass_limit(scn, om)) <= abs(_large_mass_limit(scn, om)) / scn.mass
 
 
 def test_interference_signs_are_complementary():
