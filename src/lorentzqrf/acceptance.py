@@ -1,14 +1,14 @@
 """Acceptance suite: the quantitative guarantees this library is held to.
 
 Each criterion pits a production code path against an independent oracle
-(closed-form coordinates, explicit shift/boost matrices, Bessel functions,
-or an independently discretized quadrature) at a fixed tolerance, using
-seeded randomness so every run is reproducible.  `run_all` executes the
-whole suite twice and adds a byte-determinism criterion comparing the two
-serialized payloads.
+(closed-form coordinates, explicit shift/boost matrices, tabulated Bessel
+function values, or an independently discretized quadrature) at a fixed
+tolerance, using seeded randomness so every run is reproducible.  `run_all`
+executes the whole suite twice and adds a byte-determinism criterion
+comparing the two serialized payloads.
 
-scipy.special appears only here (and in the test suite), as an oracle for
-the propagator closed forms; the library itself never calls it.
+The suite needs numpy only: the propagator's Bessel-function oracles are
+tabulated constants, pinned against scipy.special in the test suite.
 """
 
 from __future__ import annotations
@@ -141,14 +141,19 @@ def criterion_1() -> CriterionResult:
     )
 
 
-def criterion_2() -> CriterionResult:
-    """Propagator closed forms against Bessel-function oracles."""
-    from scipy.special import hankel2, k0  # oracle-only dependency
+# J0(1), Y0(1) and K0(1) to 18 digits (DLMF 10.75; A&S Tables 9.1 and 9.8)
+_J0_1 = 0.765197686557966551
+_Y0_1 = 0.088256964215676958
+_K0_1 = 0.421024438240708333
 
+
+def criterion_2() -> CriterionResult:
+    """Propagator closed forms against tabulated Bessel-function values:
+    -(i pi/2) H0^(2)(1) with H0^(2)(1) = J0(1) - i Y0(1), and K0(1)."""
     w_time = propagator(PropagatorQuery(1.0, 0.0, 1.0))
     w_space = propagator(PropagatorQuery(0.0, 1.0, 1.0))
-    oracle_time = complex(-0.5j * math.pi * hankel2(0, 1.0))
-    oracle_space = complex(k0(1.0))
+    oracle_time = -0.5j * math.pi * complex(_J0_1, -_Y0_1)
+    oracle_space = complex(_K0_1)
     rel_time = abs(w_time - oracle_time) / abs(oracle_time)
     rel_space = abs(w_space - oracle_space) / abs(oracle_space)
     tail_positive = w_space.real > 0.4

@@ -21,21 +21,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def _quiet_curve_fit(*args, **kwargs):
-    # scipy loads on first use, so scenarios that fit nothing never import it
-    from scipy.optimize import OptimizeWarning, curve_fit
-
-    # near-exact data makes the covariance estimate singular; the reports
-    # carry explicit residuals instead
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", OptimizeWarning)
-        return curve_fit(*args, **kwargs)
 
 from . import coordinates as coords
 from .kinematics import boost_point, check_mass, rapidity_of_velocity
@@ -167,70 +155,139 @@ class ScenarioReport:
 # estimators
 
 
+# gaussian_fit stops after a step that moves A by at most _FIT_STEP_TOL of |A|
+# and the centre and width by at most _FIT_STEP_TOL of sigma.  Steps above
+# _FIT_WHOLE_STEP are halved until the sum of squares does not grow; smaller
+# ones are taken whole, since that sum's rounding hides their gain.
+_FIT_STEP_TOL = 1e-12
+_FIT_WHOLE_STEP = 1e-6
+_FIT_MAX_STEPS = 100
+
+
+def _gaussian_residual(x, y, params):
+    """q = (x - c)/s, the model A exp(-q^2/2) and the residual model - y."""
+    amp, center, sigma = params
+    q = (x - center) / sigma
+    model = amp * np.exp(-0.5 * q * q)
+    return q, model, model - y
+
+
 def gaussian_fit(
     xs: np.ndarray,
     ys: np.ndarray,
     center_guess: float,
     sigma_guess: float,
 ) -> FitResult:
-    """Weighted least-squares Gaussian fit of ys ~ A exp(-(x-c)^2 / 2 s^2).
+    """Least-squares Gaussian fit of ys ~ A exp(-(x-c)^2 / 2 s^2).
 
-    Points outside center_guess +- 5 sigma_guess are ignored.  Raises
-    FitError when the optimizer fails or the windowed data are degenerate.
+    Points outside center_guess +- 5 sigma_guess are ignored.  The start is
+    the y^2-weighted parabola through log y on the points with y > 0; it must
+    be concave with its vertex inside the window.  Newton steps on the sum of
+    squared residuals then converge to its minimum: each uses the exact
+    Hessian where that is positive definite and the Gauss-Newton matrix
+    J^T J elsewhere.  Raises FitError when the windowed data are degenerate,
+    hold no peak, or the steps do not converge.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     mask = np.abs(xs - center_guess) <= 5.0 * sigma_guess
     x, y = xs[mask], ys[mask]
-    if x.size < 8 or not np.any(y > 0.0):
+    pos = y > 0.0
+    if x.size < 8 or not pos.any():
         raise FitError(
-            f"gaussian fit window around {center_guess} holds {x.size} usable points"
+            f"gaussian fit window around {center_guess} holds {x.size} points, "
+            f"{np.count_nonzero(pos)} of them positive; it needs 8, some positive"
         )
-
-    def model(t, a, c, s):
-        return a * np.exp(-((t - c) ** 2) / (2.0 * s * s))
-
-    try:
-        popt, _ = _quiet_curve_fit(
-            model, x, y, p0=(float(np.max(y)), center_guess, sigma_guess)
+    top = float(np.max(y))
+    z = (x[pos] - center_guess) / sigma_guess
+    w = y[pos] / top
+    (a0, a1, a2), *_ = np.linalg.lstsq(
+        np.stack([w, w * z, w * z * z], axis=1), w * np.log(w), rcond=None
+    )
+    vertex = center_guess - sigma_guess * a1 / (2.0 * a2) if a2 < 0.0 else math.nan
+    if not x.min() <= vertex <= x.max():
+        raise FitError(
+            f"gaussian fit window around {center_guess} holds no peak "
+            f"(log-parabola curvature {a2:.3g})"
         )
-    except RuntimeError as exc:
-        raise FitError(f"gaussian fit did not converge: {exc}") from exc
-    amp, center, sigma = float(popt[0]), float(popt[1]), abs(float(popt[2]))
-    resid = float(np.sqrt(np.mean((model(x, *popt) - y) ** 2)) / max(np.max(y), 1e-300))
-    if not (math.isfinite(center) and math.isfinite(sigma) and sigma > 0.0):
-        raise FitError(f"gaussian fit returned degenerate parameters {popt}")
-    return FitResult(amp, center, sigma, resid)
+    params = np.array(
+        [top * math.exp(a0 - a1 * a1 / (4.0 * a2)), vertex, sigma_guess / math.sqrt(-2.0 * a2)]
+    )
+    q, model, resid = _gaussian_residual(x, y, params)
+    for _ in range(_FIT_MAX_STEPS):
+        # in the relative steps (dA/A, dc/s, ds/s) the model's gradient is
+        # m (1, q, q^2) and its Hessian m [[0, q, q^2], [q, q^2 - 1, q^3 - 2q],
+        # [q^2, q^3 - 2q, q^4 - 3q^2]]
+        q2 = q * q
+        powers = np.stack([np.ones_like(q), q, q2, q * q2, q2 * q2], axis=1)
+        jac = model[:, None] * powers[:, :3]
+        r0, r1, r2, r3, r4 = (resid * model) @ powers
+        gauss_newton = jac.T @ jac
+        hess = gauss_newton + np.array(
+            [[0.0, r1, r2], [r1, r2 - r0, r3 - 2.0 * r1], [r2, r3 - 2.0 * r1, r4 - 3.0 * r2]]
+        )
+        try:
+            if np.linalg.eigvalsh(hess)[0] <= 0.0:
+                hess = gauss_newton
+            step = -np.linalg.solve(hess, jac.T @ resid)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        scale = np.array([params[0], params[2], params[2]])
+        if np.max(np.abs(step)) <= _FIT_STEP_TOL:
+            amp, center, sigma = (float(v) for v in params + step * scale)
+            q, model, resid = _gaussian_residual(x, y, (amp, center, sigma))
+            rms = float(np.sqrt(np.mean(resid * resid)) / top)
+            return FitResult(amp, center, abs(sigma), rms)
+        ssq = resid @ resid
+        while True:
+            trial = params + step * scale
+            q, model, resid = _gaussian_residual(x, y, trial)
+            if resid @ resid <= ssq or np.max(np.abs(step)) <= _FIT_WHOLE_STEP:
+                break
+            step = 0.5 * step
+        params = trial
+    raise FitError(
+        f"gaussian fit did not converge in {_FIT_MAX_STEPS} Newton steps "
+        f"(A, c, s = {params[0]:.6g}, {params[1]:.6g}, {params[2]:.6g})"
+    )
 
 
-def rapidity_peak_fit(state: RapidityState, guess: float) -> float:
+def rapidity_peak_fit(state: RapidityState) -> float:
     """Peak rapidity of |a(theta)| for a boosted Gaussian-slice state.
 
-    Fits log|a| against the exact profile shape c0 - k sinh^2(theta - peak)
-    of a boosted Gaussian slice; exact up to rounding at any boost.
+    Fits log|a| on the sites above 1e-3 of the peak against the exact profile
+    shape c0 - k sinh^2(theta - peak) of a boosted Gaussian slice.  With
+    u = theta - theta0 about the largest sample, that shape is
+    alpha + beta cosh 2u + gamma sinh 2u, so one linear least squares finds
+    the same minimum in closed form: peak = theta0 + atanh(-gamma/beta)/2,
+    exact up to rounding at any boost.  Raises FitError unless beta < 0,
+    |gamma/beta| < 1 and the peak lies among the fitted sites.
     """
     mag = np.abs(state.amplitudes)
     top = float(np.max(mag))
     if top <= 0.0:
         raise FitError("state has no amplitude to locate a peak in")
     keep = mag > top * 1e-3
-
-    def model(t, c0, peak, k):
-        return c0 - k * np.sinh(t - peak) ** 2
-
-    try:
-        popt, _ = _quiet_curve_fit(
-            model,
-            state.thetas[keep],
-            np.log(mag[keep]),
-            p0=(math.log(top), guess, 1.0),
+    thetas = state.thetas[keep]
+    theta0 = float(state.thetas[np.argmax(mag)])
+    u2 = 2.0 * (thetas - theta0)
+    (_, beta, gamma), *_ = np.linalg.lstsq(
+        np.stack([np.ones_like(u2), np.cosh(u2), np.sinh(u2)], axis=1),
+        np.log(mag[keep]),
+        rcond=None,
+    )
+    peak = theta0 + 0.5 * math.atanh(-gamma / beta) if abs(gamma) < -beta else math.nan
+    if not thetas[0] <= peak <= thetas[-1]:
+        raise FitError(
+            f"log|a| holds no boosted-slice peak (cosh 2u coefficient {beta:.3g}, "
+            f"sinh 2u coefficient {gamma:.3g})"
         )
-    except RuntimeError as exc:
-        raise FitError(f"rapidity peak fit did not converge: {exc}") from exc
-    return float(popt[1])
+    return peak
 
 
-def ridge_fit(state: RapidityState, slope_guess: float, intercept_guess: float):
+def ridge_fit(state: RapidityState, intercept_guess: float):
     """Spacetime support line t = intercept + slope*x of a tilted-slice state.
 
     The slope comes from the amplitude peak rapidity (tanh of it); the
@@ -238,7 +295,7 @@ def ridge_fit(state: RapidityState, slope_guess: float, intercept_guess: float):
     (E, -p), which yields the rigid translation (tau, xi) of the support and
     hence the line offset tau - slope*xi.
     """
-    peak = rapidity_peak_fit(state, math.atanh(slope_guess) if abs(slope_guess) < 1 else 0.0)
+    peak = rapidity_peak_fit(state)
     slope = math.tanh(peak)
     mag2 = np.abs(state.amplitudes) ** 2
     e, p = state.energies, state.momenta
@@ -614,7 +671,7 @@ def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
         omega = -branch.rapidity
         slope_pred = math.tanh(omega)
         intercept_pred = scn.payload_time / math.cosh(omega)
-        slope, intercept = ridge_fit(pay, slope_pred, intercept_pred)
+        slope, intercept = ridge_fit(pay, intercept_pred)
         checks += _named_checks(
             f"omega={omega:g}", omega, scn.tolerance, "wave-packet",
             slope=(slope_pred, slope), intercept=(intercept_pred, intercept),
@@ -685,7 +742,7 @@ def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
         comp = boost_state(rest, -omega)
         on_grid = resample(comp)  # the sum and densities share the grid's thetas
         total += amp * on_grid.amplitudes
-        peak = rapidity_peak_fit(comp, omega)
+        peak = rapidity_peak_fit(comp)
         checks += _named_checks(
             f"omega={omega:g}", omega, scn.tolerance, "wave-packet",
             peak=(omega, peak), velocity=(math.tanh(omega), math.tanh(peak)),
@@ -744,11 +801,6 @@ class InterferenceScenario:
         if width is not None and not (math.isfinite(width) and width > 0.0):
             raise ValueError(f"frame_width must be positive and finite, got {width!r}")
         check_mass(self.mass)
-        if abs(self.tp - self.t0) < 1e-9:
-            raise ValueError(
-                "probe time coincides with the packet centre: propagator "
-                "singularity at zero elapsed time"
-            )
 
 
 # Radians the probe's kernel may turn per panel (a seeded sweep met the

@@ -87,6 +87,19 @@ def test_payload_is_canonical_and_complete(suite):
     assert canonical_json(parsed) == blob
 
 
+def test_criterion_2_bessel_constants_match_scipy():
+    from scipy.special import hankel2, j0, k0, y0  # oracle
+
+    for tabulated, reference in (
+        (acceptance._J0_1, j0(1.0)),
+        (acceptance._Y0_1, y0(1.0)),
+        (acceptance._K0_1, k0(1.0)),
+    ):
+        assert abs(tabulated - reference) <= 1e-15 * abs(reference)
+    h2 = complex(acceptance._J0_1, -acceptance._Y0_1)
+    assert abs(h2 - hankel2(0, 1.0)) <= 1e-15 * abs(h2)
+
+
 def test_gauss_legendre_nodes_match_leggauss():
     nodes, weights = acceptance._leggauss(1200)
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(1200)

@@ -1,6 +1,7 @@
 """Command-line, canonical-report, and SVG-rendering tests.
 
-scipy.special appears only as an oracle for the propagator table values.
+scipy.special appears only as an oracle for the propagator table values; no
+run loads scipy.
 """
 
 import json
@@ -669,26 +670,30 @@ def test_run_interference_rejects_an_underflowing_probe(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_runs_load_scipy_only_where_they_fit(tmp_path):
-    # in a fresh interpreter an exact-coordinate run loads no scipy module,
-    # and the interference probe, on the panel rule, no scipy.integrate
+def test_no_run_loads_scipy(tmp_path):
+    # in a fresh interpreter where any scipy import raises, every default
+    # scenario, the wave-packet time dilation and the criteria that fit or
+    # use Bessel oracles all run and pass
     out = str(tmp_path)
     code = (
         "import json, sys\n"
-        "from lorentzqrf import cli\n"
-        f"cli.main(['run', '--scenario', 'length-contraction', '--out', {out!r}])\n"
-        "exact = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        f"cli.main(['run', '--scenario', 'nonrel-interference', '--out', {out!r}])\n"
-        "print(json.dumps([exact, 'scipy.integrate' in sys.modules]))\n"
+        "sys.modules['scipy'] = None\n"
+        "from lorentzqrf import acceptance, cli\n"
+        "runs = [['--scenario', name] for name in cli.SCENARIOS]\n"
+        "runs.append(['--scenario', 'time-dilation', '--set', 'mode=\"narrow-gaussian\"'])\n"
+        f"codes = [cli.main(['run', *argv, '--out', {out!r}]) for argv in runs]\n"
+        "crit = [c().passed for c in (acceptance.criterion_2, acceptance.criterion_3,"
+        " acceptance.criterion_5)]\n"
+        "print(json.dumps([len(runs), codes, crit]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
+        check=True, timeout=300,
     )
-    assert json.loads(run.stdout.splitlines()[-1]) == [[], False]
+    assert json.loads(run.stdout.splitlines()[-1]) == [9, [0] * 9, [True] * 3]
 
 
 def test_run_coordinate_transform_scenario(tmp_path):
