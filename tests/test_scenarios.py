@@ -136,6 +136,17 @@ def test_dilation_packet_mode_within_one_percent():
         assert rel < 1e-5
 
 
+def test_dilation_packet_mode_warns_on_poor_marker_fits():
+    # at the defaults the boosted markers' densities along t fit a Gaussian
+    # with an rms misfit of 4.9 % of the peak at omega = 0 and 7.5 % at ln 2
+    rep = run_time_dilation(DilationScenario(mode="narrow-gaussian"))
+    assert rep.passed
+    assert rep.warnings == tuple(
+        f"branch omega=0.693147: gaussian fit residual 0.0751 at event t={t}"
+        for t in (0, 1)
+    )
+
+
 def test_dilation_validation_errors():
     with pytest.raises(ValueError):
         DilationScenario(t1=1.0, dt=0.0)
