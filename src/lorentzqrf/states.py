@@ -28,26 +28,30 @@ shell, and every such state is normalizable.
 Every spectral sum of the wavefunction's form (wavefunctions, gridded
 wavefunctions, slice profiles) goes through one kernel, `_synthesize`.  It
 sums only over the smallest index window holding every |a_j| > 1e-16 max|a|,
-n sites (`RapidityState.window`, found once per state).  An axis that is an
-arithmetic progression (np.linspace axes are) is split as v[a*B + b] =
-V_a + b*d, so the phase factors into one fused anchor exponential and two
-offset rotations,
-
-    exp(-i E t + i p x) = exp(-i (E T_alpha - p X_a)) exp(-i E beta dt) exp(i p b dx),
-
-where offset 0 needs no exponential.  With B_t = ceil(sqrt(N_t)) and
-B_x = ceil(sqrt(N_t N_x)) (at most N_x), a call takes
-n (A_t A_x + B_t + B_x - 2) complex exponentials instead of n (N_t + N_x):
-about 2 sqrt(N) n for a 1xN line and n for a single point.  The N_t N_x n
-multiply-adds run as complex GEMMs with rows (t, X_a) and columns b.  The
-split evaluates the phase at V_a + b*d, which the progression test holds
-within 4 ulps of max|v| of the requested point; the direct sum already
-rounds p*x to within half an ulp of p*x, so both make phase errors of the
-same order, |p| ulp(max|x|) (and |E| ulp(max|t|) in time).  Any other axis
-is its own anchors with the single offset 0.  A GEMM tile holds at most
-2^19 phase entries (8 MiB complex), so working memory does not grow with
-the number of t or x points.  The equation-of-motion residual uses the same
-window and rotates its nine stencil samples from one cos/sin row per probe.
+n sites (`RapidityState.window`, found once per state), and runs each call
+as one tiled complex GEMM.  An x axis that is an arithmetic progression
+(np.linspace axes are) is split as x[a*B + b] = X_a + b*dx with B about
+sqrt(N_t N_x): GEMM rows are the pairs (t, X_a) and columns the offsets b.
+Any other x axis is columns, one per point.  Every factor comes from small
+exponential tables: a progression v of N values gives exp(i k v_a) =
+hi[a // s] lo[a % s] from s = ceil(sqrt(N)) rows of each, for the t points,
+the x anchors and the x offsets, and a row entry is one fused exponential
+exp(i (p X_hi - E T_hi)) per pair of hi values times lo_t c lo_x, one
+product per entry; a t axis or anchor set that is no progression takes one
+exponential per point.  A 1xN line then costs about 4 N^(1/4) n complex
+exponentials (50 n for N = 20001, against N n for the direct sum), a 72x72
+patch about 35 n and a single point n, with the N_t N_x n multiply-adds in
+the GEMM.  Each split moves a point by at most 4 ulps of its axis's largest
+|value| (a point of x passes three: its own, its anchor's, its offset's),
+so the phase errs by O(|E| ulp(max|t|) + |p| ulp(max|x|)), the order at
+which the direct sum already rounds p*x; the at most 5 exponentials and 4
+complex products per term add about 14 u = 1.6e-15 relative (u = 2^-53).
+Zero sites pad the sum to a multiple of 8 (except for a single point, one
+dot product), so it keeps its bits across the thread counts of one BLAS.  The columns, and each tile of rows with its
+result, hold at most half of a 2^19-entry block (8 MiB complex), so working
+memory stays within two blocks however many points are requested.  The
+equation-of-motion residual uses the same window and rotates its nine
+stencil samples from one cos/sin row per probe.
 
 A state sits at theta_j = grid.thetas[j] + origin.  A boost by alpha only
 moves the origin by -alpha (a'(theta) = a(theta + alpha), support moved by
@@ -375,41 +379,30 @@ def _ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1
 
 
-def _split_axis(v: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Anchors v[::B] and offsets b*d (b < B) with v[a*B + b] = anchors[a] + offsets[b].
-
-    B = size when the anchors plus offsets rebuild v to within
-    _PROGRESSION_ULPS ulps of max |v|; any other axis (or size 1) is its own
-    anchors with the single offset 0.
-    """
-    if size > 1:
-        offsets = (v[-1] - v[0]) / (v.size - 1) * np.arange(size)
-        anchors = v[::size]
-        rebuilt = (anchors[:, None] + offsets).reshape(-1)[: v.size]
-        tol = _PROGRESSION_ULPS * np.spacing(np.max(np.abs(v)))
-        if np.max(np.abs(rebuilt - v)) <= tol:  # False for non-finite axes
-            return anchors, offsets
-    return v, np.zeros(1)
+def _split(v: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Anchors v[::size] and offsets b*d (b < size) with v[a*size + b] =
+    anchors[a] + offsets[b] to within _PROGRESSION_ULPS ulps of max |v|, or
+    None when v is no such progression (or not finite)."""
+    offsets = (v[-1] - v[0]) / max(v.size - 1, 1) * np.arange(size)
+    anchors = v[::size]
+    rebuilt = (anchors[:, None] + offsets).reshape(-1)[: v.size]
+    if np.max(np.abs(rebuilt - v)) <= _PROGRESSION_ULPS * np.spacing(np.max(np.abs(v))):
+        return anchors, offsets
+    return None
 
 
-def _offset_phases(offsets: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """exp(i offsets[b] k_j) as rows b; offsets[0] = 0 takes no exponential."""
-    phases = np.ones((offsets.size, k.size), dtype=complex)
-    phases[1:] = np.exp(1j * np.outer(offsets[1:], k))
-    return phases
+def _even(n: int, most: int) -> int:
+    """Block size of the fewest blocks of at most `most` that cover n, made
+    as even as they can be, so that no block is mostly padding."""
+    return -(-n // -(-n // most))
 
 
 def _synthesize(
     state: RapidityState, coeffs: np.ndarray, ts: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
-    """sum_j c_j exp(-i E_j t + i p_j x) on the outer grid (len(ts), len(xs)).
-
-    The sum runs over `state.window` only, and `coeffs` holds one c_j per
-    window site.  Each axis is split by `_split_axis` into anchors and
-    offsets as the module docstring describes: rows (t, X) times offset
-    columns b make one complex GEMM per tile of at most _BLOCK_ENTRIES phase
-    entries.
-    """
+    """sum_j c_j exp(-i E_j t + i p_j x) on the outer grid (len(ts), len(xs)),
+    over `state.window` only, with one c_j per window site in `coeffs`; the
+    module docstring gives its GEMM, its error and its memory."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     out = np.zeros((ts.size, xs.size), dtype=complex)
@@ -419,32 +412,54 @@ def _synthesize(
         return out
     th = state.thetas[win]
     e, p = state.mass * np.cosh(th), state.mass * np.sinh(th)
-    block = max(1, _BLOCK_ENTRIES // n)
-    # every x anchor adds a row per t while x offsets are shared columns, so
-    # B_x = sqrt(N_t N_x) balances row products against column exponentials
-    t_anchors, t_offsets = _split_axis(ts, min(_ceil_sqrt(ts.size), block))
-    x_anchors, x_offsets = _split_axis(
-        xs, min(_ceil_sqrt(ts.size * xs.size), xs.size, block)
-    )
-    bt, bx = t_offsets.size, x_offsets.size
-    c_rows = _offset_phases(-t_offsets, e) * coeffs
-    columns = _offset_phases(x_offsets, p).T
-    # a tile takes gt t anchors (gt*bt times) and gx x anchors: <= block rows
-    gx = min(x_anchors.size, block // bt)
-    gt = max(1, block // (bt * gx))
-    for i in range(0, t_anchors.size, gt):
-        t_phase = t_anchors[i : i + gt, None, None] * e
-        rows = slice(i * bt, (i + gt) * bt)
-        for k in range(0, x_anchors.size, gx):
-            # the one fused exponential per (T, X) anchor pair and site
-            anchors = np.exp(1j * (x_anchors[k : k + gx, None] * p - t_phase))
-            left = anchors[:, None] * c_rows[:, None]  # (T, beta, X, site)
-            tile = left.reshape(-1, n) @ columns
-            dest = out[rows, k * bx : (k + gx) * bx]
-            dest[...] = tile.reshape(-1, anchors.shape[1] * bx)[
-                : dest.shape[0], : dest.shape[1]
-            ]
+    if out.size == 1:  # one fused exponential and one dot product, which
+        # OpenBLAS sums on one thread up to 10^4 terms
+        out[0, 0] = np.exp(1j * (xs[0] * p - ts[0] * e)) * coeffs @ np.ones(n, dtype=complex)
+        return out
+    # zero sites pad the sum to a multiple of 8 terms, which every BLAS kernel
+    # adds in one order at any thread count
+    size = -(-n // 8) * 8
+    e, p, c = (np.concatenate((v, np.zeros(size - n))) for v in (e, p, coeffs))
+    half = max(1, _BLOCK_ENTRIES // (2 * size))  # columns in half a tile
+    # every x anchor adds a row per t while offsets are shared columns, so
+    # about sqrt(N_t N_x) columns balance the two
+    split = _split(xs, _even(xs.size, min(_ceil_sqrt(ts.size * xs.size), half)))
+    if split is not None:
+        _panel(out, e, p, c, ts, *split)
+        return out
+    width = _even(xs.size, half)
+    for i in range(0, xs.size, width):
+        _panel(out[:, i : i + width], e, p, c, ts, np.zeros(1), xs[i : i + width])
     return out
+
+
+def _panel(out, e, p, c, ts, anchors, offsets) -> None:
+    """out[t, a*B + b] = sum_j c_j exp(-i E_j t + i p_j (anchors[a] + offsets[b]))
+    in tiles of at most half a block: GEMM rows (t, a) times B columns b."""
+    size, width = e.size, offsets.size
+    o_hi, o_lo = _split(offsets, _ceil_sqrt(width)) or (offsets, np.zeros(1))
+    columns = np.exp(1j * np.outer(o_hi, p))[:, None] * np.exp(1j * np.outer(o_lo, p))
+    columns = columns.reshape(-1, size)[:width].T
+    cap = max(1, _BLOCK_ENTRIES // (2 * (size + width)))  # rows in half a tile
+    t_hi, t_lo = _split(ts, min(_ceil_sqrt(ts.size), cap)) or (ts, np.zeros(1))
+    x_hi, x_lo = _split(
+        anchors, min(_ceil_sqrt(anchors.size), cap // t_lo.size)
+    ) or (anchors, np.zeros(1))
+    lo = (np.exp(-1j * np.outer(t_lo, e)) * c)[:, None] * np.exp(1j * np.outer(x_lo, p))
+    st, sa = lo.shape[:2]
+    ga = min(x_hi.size, max(1, cap // (st * sa)))  # hi anchors in a tile
+    gt = max(1, cap // (st * sa * ga))  # hi t values in a tile
+    for i in range(0, t_hi.size, gt):
+        t0, t1 = i * st, min((i + gt) * st, ts.size)
+        for j in range(0, x_hi.size, ga):
+            # one fused exponential per pair of hi values and site, and one
+            # product with lo_t c lo_x per row entry
+            hi = 1j * (x_hi[j : j + ga, None] * p - t_hi[i : i + gt, None, None] * e)
+            rows = (np.exp(hi, out=hi)[:, None, :, None] * lo[:, None]).reshape(-1, size)
+            tile = rows[: (t1 - t0) * hi.shape[1] * sa] @ columns
+            dest = out[t0:t1, j * sa * width : (j + hi.shape[1]) * sa * width]
+            dest[...] = tile.reshape(t1 - t0, -1)[:, : dest.shape[1]]
+            del hi, rows  # before the next tile's are built
 
 
 def wavefunction(

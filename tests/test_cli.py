@@ -869,3 +869,33 @@ def test_selftest_runs_are_byte_identical_modulo_timestamp(tmp_path, capsys):
     payload = json.loads(b1)
     assert payload["pass"] is True
     assert [c["number"] for c in payload["criteria"]] == list(range(1, 12))
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    # every default scenario, the wave-packet time dilation and the selftest
+    # serialize the same bytes (timestamp aside) at one and two OpenBLAS
+    # threads; the two interpreters run side by side
+    code = (
+        "import sys\n"
+        "from lorentzqrf import cli\n"
+        "runs = [['run', '--scenario', name] for name in cli.SCENARIOS]\n"
+        "runs.append(['run', '--scenario', 'time-dilation', '--set', 'mode=\"narrow-gaussian\"'])\n"
+        "runs.append(['selftest'])\n"
+        "for i, argv in enumerate(runs):\n"
+        "    assert cli.main([*argv, '--out', f'{sys.argv[1]}/{i}']) == 0\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", code, str(tmp_path / threads)], env=env,
+            stdout=subprocess.DEVNULL,
+        ))
+    assert [proc.wait(timeout=300) for proc in procs] == [0, 0]
+    reports = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").glob("*/*.json"))
+    assert len(reports) == 10
+    for rel in reports:
+        one, two = (_read_report(tmp_path / threads / rel) for threads in ("1", "2"))
+        assert reporting.strip_timestamp(one) == reporting.strip_timestamp(two), rel

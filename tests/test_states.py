@@ -248,11 +248,11 @@ def test_wavefunction_grid_splits_evenly_spaced_axes(grid):
     block = states._BLOCK_ENTRIES // grid.count
     ts = np.linspace(-50.0, 50.0, 2 * block + 37)
     xs = np.linspace(-50.0, 50.0, 2 * block + 5)
-    assert states._split_axis(ts, 18)[1].size == 18
-    assert states._split_axis(xs, block)[1].size == block
+    assert states._split(ts, 18)[1].size == 18
+    assert states._split(xs, block)[1].size == block
     bumped = np.linspace(-40.0, 30.0, 151)
     bumped[75] += 8 * states._PROGRESSION_ULPS * np.spacing(40.0)
-    assert states._split_axis(bumped, 13)[1].size == 1
+    assert states._split(bumped, 13) is None
     cases = [
         (ts, xs),
         (np.linspace(3.0, -4.0, 40), np.linspace(20.0, -30.0, 301)),  # descending
@@ -268,6 +268,37 @@ def test_wavefunction_grid_splits_evenly_spaced_axes(grid):
         table = wavefunction_grid(s, ts, xs)
         assert table.shape == (ts.size, xs.size)
         assert np.max(np.abs(table - _dense_sum(s, coeffs, ts, xs))) < 1e-13 * scale
+
+
+@st.composite
+def _synthesis_axes(draw):
+    """An axis of one of the kinds the kernel tells apart, within +-50."""
+    kind = draw(st.sampled_from(["ascending", "descending", "constant", "random", "bumped"]))
+    size = draw(st.integers(1, 4) | st.integers(5, 130))
+    a, b = sorted(draw(st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2)))
+    if kind == "constant":
+        return np.full(size, a)
+    if kind == "random":
+        return np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-50.0, 50.0, size)
+    v = np.linspace(a, b, size)
+    if kind == "bumped":  # off a progression by twice the tolerance
+        v[size // 2] += 8 * states._PROGRESSION_ULPS * np.spacing(np.max(np.abs(v)))
+    return v[::-1].copy() if kind == "descending" else v
+
+
+@settings(max_examples=30)
+@given(ts=_synthesis_axes(), xs=_synthesis_axes())
+def test_wavefunction_grid_matches_dense_sum_property(grid, ts, xs):
+    # the full-support state of the block tests: rows and columns of every
+    # kind, in one tile or several
+    rng = np.random.default_rng(27)
+    a = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
+    s = RapidityState(grid, 0.01, a)
+    coeffs = s.weights * s.amplitudes
+    table = wavefunction_grid(s, ts, xs)
+    assert table.shape == (ts.size, xs.size)
+    dense = _dense_sum(s, coeffs, ts, xs)
+    assert np.max(np.abs(table - dense)) < 1e-13 * float(np.sum(np.abs(coeffs)))
 
 
 def test_wavefunction_grid_long_line_at_sampled_points(grid):
@@ -324,6 +355,27 @@ def test_wavefunction_grid_memory_is_bounded(grid):
         tracemalloc.stop()
     assert line.shape == (1, xs.size)
     assert peak < 64 * 2**20
+
+
+def test_wavefunction_grid_working_memory_is_two_tiles(grid):
+    # on a full-support state, random axes and a long evenly spaced line
+    # both keep the traced peak, less the output, within two tiles
+    rng = np.random.default_rng(22)
+    a = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
+    s = RapidityState(grid, 0.01, a)
+    block = states._BLOCK_ENTRIES // grid.count
+    cases = [
+        (rng.uniform(-50.0, 50.0, size=2 * block + 37), rng.uniform(-50.0, 50.0, size=2 * block + 5)),
+        (np.zeros(1), np.linspace(-25.0, 25.0, 20001)),
+    ]
+    for ts, xs in cases:
+        tracemalloc.start()
+        try:
+            table = wavefunction_grid(s, ts, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - table.nbytes <= 2 * states._BLOCK_ENTRIES * 16
 
 
 # ---------------------------------------------------------------------------
