@@ -2,21 +2,23 @@
 
 This is the kinematic counterpart of the wave-packet frame changes: events
 are exact `kinematics.SpacetimePoint` labels (t, x), laboratories are
-superpositions of velocity branches, and a frame change is one pass over the
-branches that boosts each branch's events by -atanh(v) of its own velocity,
-flips v -> -v and hands the laboratory to the system that was at rest.
-Everything here is closed-form 2x2 matrix algebra per branch, with one
-cosh/sinh pair per branch shared by all of its events; no discretization
-enters.
+superpositions of velocity branches, and a frame change is the same
+`frames.controlled_boost` that moves packets: each branch's velocity flips,
+v -> -v, its events are boosted by -atanh(v), and the laboratory passes to
+the system that was at rest.  A branch's event list, like a packet, is its
+events as given plus a rapidity origin carried exactly, so opposite frame
+changes restore every event bit for bit.  No discretization enters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
-from .kinematics import Interval, SpacetimePoint, separation_interval
+from .frames import check_branches, controlled_boost
+from .kinematics import (
+    Interval, SpacetimePoint, add_rapidity, boost_events, separation_interval
+)
 
 __all__ = [
     "EventCoordinate",
@@ -25,11 +27,14 @@ __all__ = [
     "transform_frame",
     "distance_expectation",
     "state_to_dict",
-    "state_from_dict",
 ]
 
 # an event pinned to exact coordinates (no spread, no dynamics)
 EventCoordinate = SpacetimePoint
+
+
+def _event(ev) -> EventCoordinate:
+    return ev if type(ev) is EventCoordinate else EventCoordinate(*map(float, ev))
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,15 @@ class VelocityBranch:
 
 @dataclass(frozen=True)
 class JointCoordinateState:
-    """Laboratory velocity branches with branch-correlated event lists."""
+    """Laboratory velocity branches with branch-correlated event lists.
+
+    A branch's list is its events as given (`given`) plus a rapidity origin
+    (`origins`: one compensated pair of `kinematics.add_rapidity` per
+    branch), and `events` holds its coordinates in this lab: the given
+    events boosted by -origin with `kinematics.boost_events`.  Built from
+    rows of events or (t, x) pairs, a state has every origin at 0, where the
+    coordinates are the given events themselves.
+    """
 
     lab_owner: str
     lab: tuple[VelocityBranch, ...]
@@ -54,21 +67,12 @@ class JointCoordinateState:
 
     def __post_init__(self) -> None:
         lab = tuple(self.lab)
-        if not lab:
-            raise ValueError("state needs at least one velocity branch")
-        events = tuple(map(tuple, self.events))
-        if not {EventCoordinate}.issuperset(map(type, chain.from_iterable(events))):
-            # build (t, x) pairs into validated events
-            events = tuple(
-                tuple(EventCoordinate(*map(float, ev)) for ev in row) for row in events
-            )
-        if len(events) != len(lab):
-            raise ValueError("one event list per velocity branch required")
-        lengths = {len(row) for row in events}
-        if len(lengths) != 1:
-            raise ValueError("event-list length must be uniform across branches")
+        events = tuple(tuple(map(_event, row)) for row in self.events)
+        check_branches([b.v for b in lab], events, (self.lab_owner,))
         object.__setattr__(self, "lab", lab)
         object.__setattr__(self, "events", events)
+        object.__setattr__(self, "given", events)
+        object.__setattr__(self, "origins", ((0.0, 0.0),) * len(lab))
 
     @property
     def n_events(self) -> int:
@@ -82,23 +86,29 @@ def transform_frame(
 
     Each branch's events are boosted by -atanh(v) of that branch's velocity
     and its velocity flips to -v.  Branch amplitudes are untouched, and two
-    opposite transforms restore the velocities exactly and the events up to
-    floating-point roundoff.  Events are the bits of
-    `kinematics.boost_point(-atanh(v), ev)`; one that overflows raises.
+    opposite transforms restore the velocities and the events exactly.
+    Events are the bits of `kinematics.boost_point(-atanh(v), ev)` for the
+    events as given; one that overflows raises.
     """
     if state.lab_owner != from_label:
         raise ValueError(
             f"state describes the lab of {state.lab_owner!r}, not {from_label!r}"
         )
-    lab, events = [], []
-    for branch, row in zip(state.lab, state.events):
-        alpha = -math.atanh(branch.v)
-        ch, sh = math.cosh(alpha), math.sinh(alpha)
-        lab.append(VelocityBranch(-branch.v, branch.amplitude))
-        events.append(
-            tuple(EventCoordinate(ch * ev.t - sh * ev.x, ch * ev.x - sh * ev.t) for ev in row)
-        )
-    return JointCoordinateState(to_label, tuple(lab), tuple(events))
+    if to_label == from_label:
+        raise ValueError(f"the frame change needs a lab other than {from_label!r}")
+    lab, origins = controlled_boost(
+        state.lab, state.origins, lambda branch: math.atanh(branch.v),
+        lambda branch: VelocityBranch(-branch.v, branch.amplitude),
+        lambda origin, alpha: add_rapidity(*origin, -alpha),
+    )
+    # flipped velocities stay distinct and the given events stay valid, so
+    # the new state computes its coordinates once and validates nothing again
+    moved = object.__new__(JointCoordinateState)
+    moved.__dict__.update(
+        lab_owner=to_label, lab=lab, given=state.given, origins=origins,
+        events=tuple([boost_events(-hi, row) for row, (hi, _) in zip(state.given, origins)]),
+    )
+    return moved
 
 
 def distance_expectation(
@@ -116,7 +126,7 @@ def distance_expectation(
 
 
 def state_to_dict(state: JointCoordinateState) -> dict:
-    """Plain-JSON form of a JointCoordinateState."""
+    """Plain-JSON form of a JointCoordinateState: its events in its lab."""
     return {
         "lab_owner": state.lab_owner,
         "lab": [
@@ -125,16 +135,3 @@ def state_to_dict(state: JointCoordinateState) -> dict:
         ],
         "events": [[[ev.t, ev.x] for ev in row] for row in state.events],
     }
-
-
-def state_from_dict(data: dict) -> JointCoordinateState:
-    """Inverse of state_to_dict."""
-    lab = tuple(
-        VelocityBranch(float(b["v"]), complex(*b.get("amplitude", (1.0, 0.0))))
-        for b in data["lab"]
-    )
-    events = tuple(
-        tuple(EventCoordinate(float(t), float(x)) for t, x in row)
-        for row in data["events"]
-    )
-    return JointCoordinateState(str(data["lab_owner"]), lab, events)

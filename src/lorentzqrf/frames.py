@@ -12,12 +12,13 @@ pointer states, so ||Psi||^2 = sum_i |c_i|^2 prod_k <ik|ik>.
 
 `change_frame` re-expresses the composite relative to the sharp system:
 branch rapidities flip sign, every payload is boosted by -omega_i in branch
-i (exactly: only its rapidity origin moves, so a round trip from origin 0
-restores it bit for bit), and, when the old sharp system carries a temporal
-wave profile g(t), each branch amplitude picks up the transfer factor
-g^(m cosh omega_i), where g^(E) = integral dt e^{iEt} g(t) and m is the
-sharp system's mass.  The Dirac profile at t0 (`DeltaTime`) contributes
-pure phases exp(i m cosh(omega_i) t0).
+i (exactly: only its rapidity origin moves, as a compensated pair, so a
+round trip restores it bit for bit from any origin), and, when the old sharp
+system carries a temporal wave profile g(t), each branch amplitude picks up
+the transfer factor g^(m cosh omega_i), where g^(E) = integral dt e^{iEt} g(t)
+and m is the sharp system's mass.  The Dirac profile at t0 (`DeltaTime`)
+contributes pure phases exp(i m cosh(omega_i) t0).  The branchwise boost is
+`controlled_boost`, which `coordinates.transform_frame` runs on event lists.
 
 The module also contains an exactly solvable model of the same frame-change
 on a finite cyclic rapidity lattice (`twirl_lattice`, `jump_to_frame`),
@@ -52,6 +53,8 @@ __all__ = [
     "total_norm",
     "branch_overlap_matrix",
     "change_frame",
+    "check_branches",
+    "controlled_boost",
     "superposed_slice_state",
     "CyclicLattice",
     "SharpExternalState",
@@ -78,6 +81,28 @@ class DeltaTime:
 
 # ---------------------------------------------------------------------------
 # branched states
+
+
+def check_branches(keys: list, rows: tuple | None = None, labels: tuple = ()) -> None:
+    """Branch bookkeeping: at least one branch, distinct branch keys
+    (rapidities, velocities or lattice sites), one payload row each, all of
+    one length, where `rows` are given, and no system label used twice."""
+    if not keys:
+        raise ValueError("need at least one branch")
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"branches must be distinct, got {keys!r}")
+    if rows is not None and (len(rows) != len(keys) or len({len(r) for r in rows}) > 1):
+        raise ValueError("one payload row per branch required, all of one length")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"system label {label!r} is repeated")
+
+
+def controlled_boost(branches, rows, rapidity, flip, boost) -> tuple[tuple, tuple]:
+    """The quantum-controlled boost: per branch b, (flip(b), boost(row,
+    -rapidity(b))), where `boost` moves the rapidity origins carried by b's
+    payload row.  Returns (branches, rows)."""
+    return tuple(zip(*[(flip(b), boost(row, -rapidity(b))) for b, row in zip(branches, rows)]))
 
 
 @dataclass(frozen=True)
@@ -107,34 +132,21 @@ class BranchedFrameState:
     def __post_init__(self) -> None:
         check_mass(self.frame_mass)
         branches = tuple(self.branches)
-        if not branches:
-            raise ValueError("state needs at least one branch")
+        payloads = tuple(tuple(row) for row in self.payloads) or tuple(() for _ in branches)
+        labels = tuple(self.payload_labels)
+        check_branches(
+            [b.rapidity for b in branches], payloads, (self.frame, self.branch_system, *labels)
+        )
         if len({b.mass for b in branches}) != 1:
             raise ValueError("all branches must share the sharp system's mass")
-        raps = [b.rapidity for b in branches]
-        if len(set(raps)) != len(raps):
-            raise ValueError("branch rapidities must be distinct")
-        payloads = tuple(tuple(row) for row in self.payloads)
-        if not payloads:
-            payloads = tuple(() for _ in branches)
-        if len(payloads) != len(branches):
-            raise ValueError("payload rows must match branches")
-        labels = tuple(self.payload_labels)
-        for row in payloads:
-            if len(row) != len(labels):
-                raise ValueError("payload row length must match payload_labels")
+        if len(payloads[0]) != len(labels):
+            raise ValueError("payload row length must match payload_labels")
         for k in range(len(labels)):
             col = [row[k] for row in payloads]
             if len({s.mass for s in col}) != 1 or len({s.grid for s in col}) != 1:
                 raise ValueError(
                     f"payload '{labels[k]}' must have one mass and grid across branches"
                 )
-        systems = (self.branch_system, *labels)
-        for i, label in enumerate(systems):
-            if label in systems[:i]:
-                raise ValueError(f"system label {label!r} is repeated")
-        if self.frame in systems:
-            raise ValueError("frame label collides with another system label")
         # keep branches ordered by rapidity, payload rows aligned
         order = sorted(range(len(branches)), key=lambda i: branches[i].rapidity)
         object.__setattr__(self, "branches", tuple(branches[i] for i in order))
@@ -196,24 +208,25 @@ def change_frame(
         raise ValueError(f"state is the {state.frame!r}-frame description, not {from_label!r}")
     if to_label != state.branch_system:
         raise ValueError(f"can only jump onto the sharp system {state.branch_system!r}")
-    m_new_frame = state.branch_mass
-    new_branches = []
-    new_payloads = []
-    for branch, row in zip(state.branches, state.payloads):
+    m_new_frame, profile = state.branch_mass, state.time_profile
+
+    def flip(branch: SharpBranch) -> SharpBranch:
         factor = 1.0 + 0.0j
-        if state.time_profile is not None:
-            factor = state.time_profile.fourier(m_new_frame * math.cosh(branch.rapidity))
-        new_branches.append(
-            SharpBranch(-branch.rapidity, branch.amplitude * factor, state.frame_mass)
-        )
-        new_payloads.append(tuple(boost_state(p, -branch.rapidity) for p in row))
+        if profile is not None:
+            factor = profile.fourier(m_new_frame * math.cosh(branch.rapidity))
+        return SharpBranch(-branch.rapidity, branch.amplitude * factor, state.frame_mass)
+
+    branches, payloads = controlled_boost(
+        state.branches, state.payloads, lambda branch: branch.rapidity, flip,
+        lambda row, alpha: tuple(boost_state(p, alpha) for p in row),
+    )
     return BranchedFrameState(
         frame=to_label,
         frame_mass=m_new_frame,
         branch_system=from_label,
-        branches=tuple(new_branches),
+        branches=branches,
         payload_labels=state.payload_labels,
-        payloads=tuple(new_payloads),
+        payloads=payloads,
         time_profile=None,
     )
 
@@ -286,20 +299,15 @@ class SharpExternalState:
         labels = tuple(self.labels)
         if not labels:
             raise ValueError("need at least one system")
-        branches = []
-        seen = set()
-        for amp, sites in self.branches:
-            sites = tuple(int(s) % self.lattice.size for s in sites)
-            if len(sites) != len(labels):
-                raise ValueError("each branch needs one site per system")
-            if sites in seen:
-                raise ValueError(f"duplicate branch sites {sites}")
-            seen.add(sites)
-            branches.append((complex(amp), sites))
-        if not branches:
-            raise ValueError("need at least one branch")
+        size = self.lattice.size
+        branches = tuple(
+            (complex(amp), tuple(int(s) % size for s in sites)) for amp, sites in self.branches
+        )
+        if any(len(sites) != len(labels) for _, sites in branches):
+            raise ValueError("each branch needs one site per system")
+        check_branches([sites for _, sites in branches], labels=labels)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "branches", tuple(branches))
+        object.__setattr__(self, "branches", branches)
 
     def tensor(self) -> np.ndarray:
         t = np.zeros((self.lattice.size,) * len(self.labels), dtype=complex)
@@ -349,7 +357,6 @@ def _relational_tensor(state: LatticeTwirlState, frame_label: str) -> np.ndarray
     axis = state.labels.index(frame_label)
     t = np.moveaxis(state.tensor, axis, 0)
     size = state.lattice.size
-    rest_axes = tuple(range(1, t.ndim))
     r = np.empty_like(t)
     for w in range(size):
         block = t[w]

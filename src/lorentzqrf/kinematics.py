@@ -14,9 +14,9 @@ rapidities the same boost acts as theta -> theta - alpha.
 
 The module holds what the states, frames, coordinates and scenarios build
 on: events (`SpacetimePoint`), their boosts and invariant intervals, the mass
-check, and the velocity-to-rapidity map.  Everything in it is closed-form
-double-precision arithmetic; there are no grids or tolerances beyond float
-rounding.
+check, the velocity-to-rapidity map and exact rapidity addition.
+Everything in it is closed-form double-precision arithmetic; there are no
+grids or tolerances beyond float rounding.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ __all__ = [
     "rapidity_of_velocity",
     "boost_matrix",
     "boost_point",
+    "boost_events",
+    "add_rapidity",
     "invariant_interval",
     "separation_interval",
 ]
@@ -96,11 +98,32 @@ def boost_matrix(alpha: float) -> np.ndarray:
 
 
 def boost_point(alpha: float, point: SpacetimePoint | tuple[float, float]) -> SpacetimePoint:
-    """Apply boost_matrix(alpha) to an event."""
-    t, x = point
-    _require_finite("spacetime point", t, x)
+    """Apply boost_matrix(alpha) to an event (`boost_events` of one)."""
+    return boost_events(alpha, (SpacetimePoint(*map(float, point)),))[0]
+
+
+def boost_events(alpha: float, events: tuple[SpacetimePoint, ...]) -> tuple:
+    """boost_matrix(alpha) applied to every event, from one cosh/sinh pair.
+    The boost by 0 returns the events as given, so it keeps every bit, signed
+    zeros too; an event whose boost overflows raises ValueError."""
+    if not alpha:
+        return tuple(events)
     ch, sh = math.cosh(alpha), math.sinh(alpha)
-    return SpacetimePoint(ch * t - sh * x, ch * x - sh * t)
+    return tuple([SpacetimePoint(ch * ev.t - sh * ev.x, ch * ev.x - sh * ev.t) for ev in events])
+
+
+def add_rapidity(hi: float, lo: float, delta: float) -> tuple[float, float]:
+    """(hi + lo) + delta as a compensated pair (hi', lo'): hi' is the sum
+    rounded once and lo' its rounding error.  An origin carried this way
+    comes back bit for bit under opposite shifts, (o - w) + w == o, which a
+    plain float sum misses by an ulp in about 5% of draws."""
+    # Knuth's TwoSum of hi and delta, then of that sum and lo plus its error
+    s = hi + delta
+    d = s - hi
+    lo += (hi - (s - d)) + (delta - d)
+    h = s + lo
+    d = h - s
+    return h, (s - (h - d)) + (lo - d)
 
 
 def invariant_interval(

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import coordinates as coords
 from .kinematics import boost_point, check_mass, rapidity_of_velocity
-from .frames import superposed_slice_state
+from .frames import check_branches, superposed_slice_state
 from .measurement import momentum_density
 from .states import (
     Gaussian2D,
@@ -341,8 +341,7 @@ class DilationScenario:
             raise ValueError("dt must be positive")
         if not self.t1 + self.dt > self.t1:  # dt below the float spacing at t1
             raise ValueError("t1 + dt must exceed t1 in floating point")
-        if self.omega1 == self.omega2:
-            raise ValueError("branch rapidities must differ")
+        check_branches(list(self.omegas))
         if self.mode not in ("exact-event", "narrow-gaussian"):
             raise ValueError(f"unknown dilation mode {self.mode!r}")
         if self.mode == "exact-event":
@@ -571,10 +570,7 @@ class WidthScenario:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        if not self.omegas:
-            raise ValueError("need at least one branch rapidity")
-        if len(set(self.omegas)) != len(self.omegas):
-            raise ValueError("branch rapidities must be distinct")
+        check_branches(list(self.omegas))
         check_mass(self.mass)
 
 
@@ -650,8 +646,7 @@ class SliceScenario:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        if len(set(self.omegas)) != len(self.omegas) or not self.omegas:
-            raise ValueError("branch rapidities must be distinct and nonempty")
+        check_branches(list(self.omegas))
 
 
 def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
@@ -732,8 +727,7 @@ class BoostSuperpositionScenario:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        if len(set(self.omegas)) != len(self.omegas) or not self.omegas:
-            raise ValueError("branch rapidities must be distinct and nonempty")
+        check_branches(list(self.omegas))
         check_mass(self.mass)
 
 
@@ -1001,15 +995,14 @@ class CoordinateScenario:
         lab = tuple(
             coords.VelocityBranch(v, complex(*a)) for v, a in zip(self.velocities, amps)
         )
-        events = tuple(
-            tuple(coords.EventCoordinate(t, x) for t, x in row) for row in self.events
-        )
-        return coords.JointCoordinateState(self.owner, lab, events)
+        return coords.JointCoordinateState(self.owner, lab, self.events)
 
 
 def run_coordinate_transform(scn: CoordinateScenario) -> ScenarioReport:
     """Per-branch invariant interval of the first two events, before and
-    after the controlled frame change (exact to roundoff)."""
+    after the controlled frame change (`coords.transform_frame`, which
+    rejects a target that is the owner; repeated velocities are rejected
+    with the state)."""
     state = scn.state()
     moved = coords.transform_frame(state, scn.owner, scn.target)
     before = coords.distance_expectation(state, 0, 1)

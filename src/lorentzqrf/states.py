@@ -46,8 +46,9 @@ the GEMM.  Each split moves a point by at most 4 ulps of its axis's largest
 so the phase errs by O(|E| ulp(max|t|) + |p| ulp(max|x|)), the order at
 which the direct sum already rounds p*x; the at most 5 exponentials and 4
 complex products per term add about 14 u = 1.6e-15 relative (u = 2^-53).
-Zero sites pad the sum to a multiple of 8 (except for a single point, one
-dot product), so it keeps its bits across the thread counts of one BLAS.  The columns, and each tile of rows with its
+Zero sites pad the sum to a multiple of 8 (a single point is summed in dot
+products of at most 4096 terms instead), so it keeps its bits across the
+thread counts of one BLAS.  The columns, and each tile of rows with its
 result, hold at most half of a 2^19-entry block (8 MiB complex), so working
 memory stays within two blocks however many points are requested.  The
 equation-of-motion residual uses the same window and rotates its nine
@@ -55,7 +56,9 @@ stencil samples from one cos/sin row per probe.
 
 A state sits at theta_j = grid.thetas[j] + origin.  A boost by alpha only
 moves the origin by -alpha (a'(theta) = a(theta + alpha), support moved by
-the kinematics boost matrix), so it is O(1), exact and drops nothing.  Only
+the kinematics boost matrix), so it is O(1), exact and drops nothing.  The
+origin carries its rounding error in `origin_lo` (`kinematics.add_rapidity`),
+so opposite boosts restore it bit for bit from any origin.  Only
 `resample` interpolates, back onto the grid's lattice where origins meet,
 with a six-point filter on the demodulated support window (see there).
 
@@ -79,7 +82,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .kinematics import SpacetimePoint, check_mass
+from .kinematics import SpacetimePoint, add_rapidity, check_mass
 
 __all__ = [
     "RapidityGrid",
@@ -277,7 +280,8 @@ class RapidityState:
     """Amplitudes over a rapidity grid for a particle of fixed mass.
 
     `notes` accumulates non-fatal diagnostics (support truncation).
-    Amplitude j sits at rapidity grid.thetas[j] + origin.
+    Amplitude j sits at rapidity grid.thetas[j] + origin; `origin_lo` is the
+    rounding error boosts left in origin (`boost_state`).
     """
 
     grid: RapidityGrid
@@ -285,11 +289,16 @@ class RapidityState:
     amplitudes: np.ndarray
     notes: tuple[str, ...] = field(default=())
     origin: float = 0.0
+    origin_lo: float = 0.0
 
     def __post_init__(self) -> None:
         check_mass(self.mass)
-        if not math.isfinite(self.origin):
+        # a pair given by hand is normalized as a boost would leave it
+        origin, lo = add_rapidity(self.origin, self.origin_lo, 0.0)
+        if not math.isfinite(origin):
             raise ValueError("rapidity origin must be finite")
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "origin_lo", lo)
         a = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if a.shape != (self.grid.count,):
             raise ValueError(
@@ -412,9 +421,12 @@ def _synthesize(
         return out
     th = state.thetas[win]
     e, p = state.mass * np.cosh(th), state.mass * np.sinh(th)
-    if out.size == 1:  # one fused exponential and one unpadded dot product,
-        # which OpenBLAS sums on one thread up to 10^4 terms
-        out[0, 0] = np.exp(1j * (xs[0] * p - ts[0] * e)) * coeffs @ np.ones(n, dtype=complex)
+    if out.size == 1:  # one fused exponential per site, summed in unpadded dot
+        # products of at most 4096 terms, which OpenBLAS adds on one thread
+        terms = np.exp(1j * (xs[0] * p - ts[0] * e)) * coeffs
+        ones = np.ones(min(n, 4096), dtype=complex)
+        dots = [c @ ones[: c.size] for c in np.split(terms, range(4096, n, 4096))]
+        out[0, 0] = sum(dots[1:], dots[0])
         return out
     # zero sites pad the sum to a multiple of 8 terms, which every BLAS kernel
     # adds in one order at any thread count
@@ -651,17 +663,19 @@ def boost_state(state: RapidityState, alpha: float) -> RapidityState:
     image of the original support (wavefunction covariance:
     psi'(boost_point(alpha, pt)) == psi(pt)).
 
-    Only the origin moves, by -alpha; the validated, read-only amplitudes
-    and any cached `window` are shared unchanged, so the boost is O(1),
-    exact at every rapidity and drops nothing.
+    Only the origin moves, by -alpha, as a compensated pair (origin,
+    origin_lo), so boosts by alpha and -alpha restore it bit for bit; the
+    validated, read-only amplitudes and any cached `window` are shared
+    unchanged, so the boost is O(1), exact at every rapidity and drops
+    nothing.
     """
     if not math.isfinite(alpha):
         raise ValueError("boost rapidity must be finite")
-    origin = state.origin - alpha
+    origin, lo = add_rapidity(state.origin, state.origin_lo, -alpha)
     if not math.isfinite(origin):
         raise ValueError("rapidity origin must be finite")
     boosted = object.__new__(type(state))
-    boosted.__dict__.update(vars(state), origin=origin)
+    boosted.__dict__.update(vars(state), origin=origin, origin_lo=lo)
     return boosted
 
 
@@ -732,7 +746,7 @@ def resample(state: RapidityState) -> RapidityState:
     margin = 0.05 * (grid.theta_max - grid.theta_min)
     if sig.size and (th[sig[0]] < th[0] + margin or th[sig[-1]] > th[-1] - margin):
         notes += ("boosted support within 5% of the grid boundary; amplitudes may be truncated",)
-    return replace(state, amplitudes=new, origin=0.0, notes=notes)
+    return replace(state, amplitudes=new, origin=0.0, origin_lo=0.0, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,16 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
             "events=[[[0,0]],[[0,0]]]",
             "events needs at least two events per branch row, got a row of 1",
         ),
+        (
+            "coordinate-transform",
+            "target=A",
+            "the frame change needs a lab other than 'A' (given target='A')",
+        ),
+        (
+            "coordinate-transform",
+            "velocities=[0.5,0.5]",
+            "branches must be distinct, got [0.5, 0.5] (given velocities=(0.5, 0.5))",
+        ),
     ],
 )
 def test_run_rejects_bad_values_naming_the_key(
@@ -874,15 +884,21 @@ def test_selftest_runs_are_byte_identical_modulo_timestamp(tmp_path, capsys):
 def test_reports_do_not_depend_on_blas_threads(tmp_path):
     # every default scenario, the wave-packet time dilation and the selftest
     # serialize the same bytes (timestamp aside) at one and two OpenBLAS
-    # threads; the two interpreters run side by side
+    # threads, and so does one wavefunction value summed over a 12129-site
+    # window; the two interpreters run side by side
     code = (
         "import sys\n"
-        "from lorentzqrf import cli\n"
+        "from pathlib import Path\n"
+        "from lorentzqrf import cli, states\n"
         "runs = [['run', '--scenario', name] for name in cli.SCENARIOS]\n"
         "runs.append(['run', '--scenario', 'time-dilation', '--set', 'mode=\"narrow-gaussian\"'])\n"
         "runs.append(['selftest'])\n"
         "for i, argv in enumerate(runs):\n"
         "    assert cli.main([*argv, '--out', f'{sys.argv[1]}/{i}']) == 0\n"
+        "prep = states.Gaussian2D(sigma_t=0.02, sigma_x=0.02, energy=1.0)\n"
+        "grid = states.RapidityGrid.symmetric(10.0, 20001)\n"
+        "psi = states.wavefunction(states.from_spacetime_function(prep, 1.0, grid), (0.3, 0.7))\n"
+        "Path(sys.argv[1], 'point.txt').write_text(f'{psi.real.hex()} {psi.imag.hex()}')\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     procs = []
@@ -899,3 +915,5 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
     for rel in reports:
         one, two = (_read_report(tmp_path / threads / rel) for threads in ("1", "2"))
         assert reporting.strip_timestamp(one) == reporting.strip_timestamp(two), rel
+    points = [(tmp_path / threads / "point.txt").read_text() for threads in ("1", "2")]
+    assert points[0] == points[1]

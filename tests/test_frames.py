@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lorentzqrf.coordinates import JointCoordinateState, VelocityBranch, transform_frame
 from lorentzqrf.frames import (
     BranchedFrameState,
     CyclicLattice,
@@ -266,17 +267,21 @@ def test_change_frame_round_trip_generic_rapidity(grid):
 )
 def test_change_frame_round_trip_property(grid, k, t0, seed):
     """Jumping there and back restores every payload's origin and amplitudes
-    bit for bit, for any branch count, branch rapidities and payload offset."""
+    bit for bit, for any branch count, branch rapidities, payload offset and
+    payload origin in [-1, 1]."""
     rng = np.random.default_rng(seed)
     omegas = rng.choice(np.linspace(-1.5, 1.5, 997), size=k, replace=False)
     payloads = tuple(
         (
-            normalize(
-                from_spacetime_function(
-                    Gaussian2D(t0=t0, x0=float(rng.uniform(-1.0, 1.0)), energy=1.0),
-                    1.0,
-                    grid,
-                )
+            boost_state(
+                normalize(
+                    from_spacetime_function(
+                        Gaussian2D(t0=t0, x0=float(rng.uniform(-1.0, 1.0)), energy=1.0),
+                        1.0,
+                        grid,
+                    )
+                ),
+                float(rng.uniform(-1.0, 1.0)),
             ),
         )
         for _ in range(k)
@@ -293,8 +298,47 @@ def test_change_frame_round_trip_property(grid, k, t0, seed):
     assert total_norm(back) == total_norm(state)
     for b0, row0, b1, row1 in zip(state.branches, state.payloads, back.branches, back.payloads):
         assert b1.rapidity == b0.rapidity
-        assert row1[0].origin == row0[0].origin == 0.0
+        assert row1[0].origin == row0[0].origin
         assert np.array_equal(row1[0].amplitudes, row0[0].amplitudes)
+
+
+@settings(max_examples=30)
+@given(
+    k=st.integers(1, 6),
+    rapidities=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4, unique=True),
+    data=st.data(),
+)
+def test_back_and_forth_frame_changes_are_bit_exact(grid, k, rapidities, data):
+    """k frame changes there and back restore packets (origin and amplitudes)
+    and events (every coordinate, signed zeros included) bit for bit."""
+    packet = _packet(grid)
+    origins = [data.draw(st.floats(-1.0, 1.0)) for _ in rapidities]
+    state = BranchedFrameState(
+        frame="C",
+        frame_mass=1.0,
+        branch_system="A",
+        branches=tuple(SharpBranch(om, 1.0, 1.3) for om in rapidities),
+        payload_labels=("B",),
+        payloads=tuple((boost_state(packet, -o),) for o in origins),
+    )
+    velocities = data.draw(st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=4, unique=True))
+    coordinate = st.floats(-1e3, 1e3)
+    events = JointCoordinateState(
+        "A",
+        tuple(VelocityBranch(v) for v in velocities),
+        [[(data.draw(coordinate), data.draw(coordinate)) for _ in range(3)] for _ in velocities],
+    )
+    moved, lab = state, events
+    for _ in range(k):
+        moved = change_frame(change_frame(moved, "C", "A"), "A", "C")
+        lab = transform_frame(transform_frame(lab, "A", "B"), "B", "A")
+    for row0, row1 in zip(state.payloads, moved.payloads):
+        assert row1[0].origin.hex() == row0[0].origin.hex()
+        assert row1[0].amplitudes is row0[0].amplitudes
+    assert lab.lab == events.lab
+    assert [[(e.t.hex(), e.x.hex()) for e in row] for row in lab.events] == [
+        [(e.t.hex(), e.x.hex()) for e in row] for row in events.events
+    ]
 
 
 def test_change_frame_norm_preserved(grid):

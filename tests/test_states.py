@@ -549,6 +549,9 @@ def test_boost_state_is_constant_bookkeeping(grid):
     moved = boost_state(s, 0.61).with_amplitudes(narrow)
     assert moved.window == slice(100, 110) != win
     assert moved.origin == -0.61 and moved.amplitudes is not s.amplitudes
+    # the origin is a compensated pair; one given by hand is normalized
+    by_hand = RapidityState(grid, 1.0, s.amplitudes, origin=0.25, origin_lo=0.5)
+    assert (by_hand.origin, by_hand.origin_lo) == (0.75, 0.0)
 
 
 @settings(max_examples=20)
