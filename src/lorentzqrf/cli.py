@@ -7,12 +7,12 @@ from byte comparisons), an optional CSV table, and an optional SVG panel.
 `lorentzqrf selftest` runs the full acceptance suite.
 
 `SCENARIOS` maps each scenario name to its dataclass in `scenarios`, the
-name of its runner there, a table from the documented config keys to the
-dataclass fields (one field per key), and the table and plot drawn from the
-report alone.  Defaults and range checks live in the dataclass alone; this
-module only turns JSON values into values of each field's annotated type,
-rejecting wrong types, non-integers and non-finite numbers with the config
-key named.  An error the scenario raises while it is built or run, and a
+name of its runner there, and the table and plot drawn from the report
+alone.  Config keys, defaults and range checks live in the dataclass alone:
+each field declares its key (see `scenarios`).  This module only turns JSON
+values into values of each field's annotated type, rejecting unknown keys,
+wrong types, non-integers and non-finite numbers with the config key
+named.  An error the scenario raises while it is built or run, and a
 report holding a non-finite number, exit 1 with the keys given named, before
 any artifact is written.
 
@@ -43,6 +43,30 @@ _CHECK_COLUMNS = [f.name for f in fields(BranchCheck)] + ["pass"]
 
 # ---------------------------------------------------------------------------
 # config keys -> scenario fields
+
+
+def _config(scenario: type, name: str, given: dict) -> tuple[dict, dict]:
+    """The report's config, keyed like `given`, and the scenario's keyword
+    arguments: the scenario's defaults overlaid by the values given, coerced
+    to their fields' types.
+
+    A field's key is its name unless its metadata names another, or None to
+    keep it off the command line.
+    """
+    keys = {f.metadata.get("key", f.name): f.name for f in fields(scenario)}
+    keys.pop(None, None)
+    unknown = sorted(set(given) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"unknown parameter(s) {', '.join(unknown)} for scenario {name}; "
+            f"known: {', '.join(sorted(keys))}"
+        )
+    base = scenario()
+    hints = get_type_hints(scenario)
+    config = {key: getattr(base, f) for key, f in keys.items()}
+    for key, value in given.items():
+        config[key] = _coerce(key, value, hints[keys[key]])
+    return config, {f: config[key] for key, f in keys.items()}
 
 
 def _coerce(key: str, value, hint):
@@ -90,7 +114,7 @@ def _check_table(rep: dict):
 
 @dataclass(frozen=True)
 class _Entry:
-    """One `lorentzqrf run` scenario: `keys` maps each config key to its field.
+    """One `lorentzqrf run` scenario.
 
     `runner` is looked up in `scenarios` per run, so later wrappers run too.
     `plot` and `csv` read the report's dict and nothing else.
@@ -98,25 +122,8 @@ class _Entry:
 
     scenario: type
     runner: str
-    keys: dict[str, str]
     plot: Callable[[dict], str]
     csv: Callable[[dict], tuple[list[dict], list[str]]] = _check_table
-
-    def config(self, name: str, given: dict) -> dict:
-        """Every key's value, keyed like `given`: the scenario's defaults
-        overlaid by the values given, coerced to their fields' types."""
-        unknown = sorted(set(given) - set(self.keys))
-        if unknown:
-            raise ValueError(
-                f"unknown parameter(s) {', '.join(unknown)} for scenario {name}; "
-                f"known: {', '.join(sorted(self.keys))}"
-            )
-        base = self.scenario()
-        hints = get_type_hints(self.scenario)
-        config = {key: getattr(base, f) for key, f in self.keys.items()}
-        for key, value in given.items():
-            config[key] = _coerce(key, value, hints[self.keys[key]])
-        return config
 
 
 # ---------------------------------------------------------------------------
@@ -246,61 +253,42 @@ SCENARIOS = {
     "time-dilation": _Entry(
         scenarios.DilationScenario,
         "run_time_dilation",
-        {
-            "t1": "t1", "dt": "dt", "x0": "x0", "w1": "omega1", "w2": "omega2",
-            "mode": "mode", "sigma": "sigma", "mass": "mass",
-        },
         _plot_dilation,
     ),
     "length-contraction": _Entry(
         scenarios.ContractionScenario,
         "run_length_contraction",
-        {"x1": "x1", "x2": "x2", "vb": "v_b", "vd": "v_d", "tb": "t_b", "td": "t_d"},
         _plot_contraction,
     ),
     "width-contraction": _Entry(
         scenarios.WidthScenario,
         "run_width_contraction",
-        {"sigma": "sigma", "omegas": "omegas", "mass": "mass"},
         _plot_width,
     ),
     "superposed-slice": _Entry(
         scenarios.SliceScenario,
         "run_superposed_slice",
-        {
-            "sigma": "sigma", "tb": "payload_time", "tc": "frame_time",
-            "omegas": "omegas", "payload_mass": "payload_mass",
-            "frame_mass": "frame_mass", "branch_mass": "branch_mass",
-        },
         _plot_slice,
     ),
     "superposition-of-boosts": _Entry(
         scenarios.BoostSuperpositionScenario,
         "run_boost_superposition",
-        {"sigma": "sigma", "omegas": "omegas", "mass": "mass"},
         _plot_boosts,
     ),
     "nonrel-interference": _Entry(
         scenarios.InterferenceScenario,
         "run_nonrel_interference",
-        {
-            "x0": "x0", "t0": "t0", "sx": "sigma_x", "st": "sigma_t", "m": "mass",
-            "w1": "omega1", "w2": "omega2", "tp": "tp", "xp": "xp", "sign": "sign",
-            "frame_width": "frame_width",
-        },
         _plot_interference,
         _interference_table,
     ),
     "coordinate-transform": _Entry(
         scenarios.CoordinateScenario,
         "run_coordinate_transform",
-        {k: k for k in ("owner", "target", "velocities", "amplitudes", "events")},
         _plot_coordinates,
     ),
     "propagator-table": _Entry(
         scenarios.PropagatorTableScenario,
         "run_propagator_table",
-        {"m": "mass", "step": "step", "steps": "steps"},
         _plot_propagator,
         _propagator_table,
     ),
@@ -361,9 +349,9 @@ def _cmd_run(args) -> int:
     try:
         given = _load_config(args.config)
         given.update(_parse_set(args.set or []))
-        cfg = entry.config(args.scenario, given)
+        cfg, kwargs = _config(entry.scenario, args.scenario, given)
         try:
-            scn = entry.scenario(**{f: cfg[key] for key, f in entry.keys.items()})
+            scn = entry.scenario(**kwargs)
             rep = getattr(scenarios, entry.runner)(scn)
             rep_dict = rep.to_dict()
             # serializing rejects a non-finite number, and the table and plot an

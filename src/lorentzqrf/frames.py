@@ -93,6 +93,10 @@ def check_branches(keys: list, rows: tuple | None = None, labels: tuple = ()) ->
         raise ValueError(f"branches must be distinct, got {keys!r}")
     if rows is not None and (len(rows) != len(keys) or len({len(r) for r in rows}) > 1):
         raise ValueError("one payload row per branch required, all of one length")
+    _check_labels(labels)
+
+
+def _check_labels(labels: tuple) -> None:
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValueError(f"system label {label!r} is repeated")
@@ -220,15 +224,15 @@ def change_frame(
         state.branches, state.payloads, lambda branch: branch.rapidity, flip,
         lambda row, alpha: tuple(boost_state(p, alpha) for p in row),
     )
-    return BranchedFrameState(
-        frame=to_label,
-        frame_mass=m_new_frame,
-        branch_system=from_label,
-        branches=branches,
-        payload_labels=state.payload_labels,
-        payloads=payloads,
-        time_profile=None,
+    # the flip reverses the rapidity order and keeps every other invariant,
+    # so the new state is built without a second validation pass
+    moved = object.__new__(BranchedFrameState)
+    moved.__dict__.update(
+        frame=to_label, frame_mass=m_new_frame, branch_system=from_label,
+        branches=branches[::-1], payload_labels=state.payload_labels,
+        payloads=payloads[::-1], time_profile=None,
     )
+    return moved
 
 
 def superposed_slice_state(
@@ -325,6 +329,7 @@ class LatticeTwirlState:
     tensor: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_labels(tuple(self.labels))
         t = np.asarray(self.tensor, dtype=complex)
         if t.shape != (self.lattice.size,) * len(self.labels):
             raise ValueError("tensor shape must be (size,)^n_systems")

@@ -11,7 +11,9 @@ machine-exact; "wave-packet" entries come from discretized states and carry
 fit/grid error.
 
 Each scenario is a frozen dataclass whose `__post_init__` range-checks its
-fields, and every documented `lorentzqrf run` key sets exactly one field.
+fields.  Each field is one `lorentzqrf run` key, declared on the field: its
+name, or `metadata["key"]` where that differs; a `grid` field, whose key is
+None, is not on the command line.
 A report carries everything its table and plot draw, in `details` and
 `grids`.
 """
@@ -329,12 +331,12 @@ class DilationScenario:
     t1: float = 0.0
     dt: float = 1.0
     x0: float = 0.0
-    omega1: float = 0.0
-    omega2: float = math.log(2.0)
+    omega1: float = field(default=0.0, metadata={"key": "w1"})
+    omega2: float = field(default=math.log(2.0), metadata={"key": "w2"})
     mode: str = "exact-event"
     sigma: float = 0.02
     mass: float = 50.0
-    grid: RapidityGrid | None = None
+    grid: RapidityGrid | None = field(default=None, metadata={"key": None})
 
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
@@ -480,10 +482,10 @@ class ContractionScenario:
 
     x1: float = 0.0
     x2: float = 1.0
-    v_b: float = 0.6
-    v_d: float = 0.8
-    t_b: tuple[float, float] | None = None
-    t_d: tuple[float, float] | None = None
+    v_b: float = field(default=0.6, metadata={"key": "vb"})
+    v_d: float = field(default=0.8, metadata={"key": "vd"})
+    t_b: tuple[float, float] | None = field(default=None, metadata={"key": "tb"})
+    t_d: tuple[float, float] | None = field(default=None, metadata={"key": "td"})
 
     def __post_init__(self) -> None:
         for v in (self.v_b, self.v_d):
@@ -565,7 +567,7 @@ class WidthScenario:
     sigma: float = 1.0
     omegas: tuple[float, ...] = (0.0, math.log(2.0), math.atanh(0.8))
     mass: float = 5.0
-    grid: RapidityGrid | None = None
+    grid: RapidityGrid | None = field(default=None, metadata={"key": None})
 
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
@@ -635,13 +637,13 @@ class SliceScenario:
     tolerance = 1e-9
 
     sigma: float = 1.0
-    payload_time: float = 0.4
-    frame_time: float = 0.0
+    payload_time: float = field(default=0.4, metadata={"key": "tb"})
+    frame_time: float = field(default=0.0, metadata={"key": "tc"})
     omegas: tuple[float, ...] = (0.25, 0.65)
     payload_mass: float = 1.0
     frame_mass: float = 1.0
     branch_mass: float = 1.0
-    grid: RapidityGrid | None = None
+    grid: RapidityGrid | None = field(default=None, metadata={"key": None})
 
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
@@ -722,7 +724,7 @@ class BoostSuperpositionScenario:
     sigma: float = 2.5
     omegas: tuple[float, ...] = (-0.35, 0.6)
     mass: float = 1.0
-    grid: RapidityGrid | None = None
+    grid: RapidityGrid | None = field(default=None, metadata={"key": None})
 
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
@@ -781,11 +783,11 @@ class InterferenceScenario:
 
     x0: float = 0.0
     t0: float = 0.0
-    sigma_x: float = 1.0
-    sigma_t: float = 1.0
-    mass: float = 1.0
-    omega1: float = 0.02
-    omega2: float = -0.02
+    sigma_x: float = field(default=1.0, metadata={"key": "sx"})
+    sigma_t: float = field(default=1.0, metadata={"key": "st"})
+    mass: float = field(default=1.0, metadata={"key": "m"})
+    omega1: float = field(default=0.02, metadata={"key": "w1"})
+    omega2: float = field(default=-0.02, metadata={"key": "w2"})
     tp: float = 5.0
     xp: float = 1.0
     sign: int = +1
@@ -1036,7 +1038,7 @@ class PropagatorTableScenario:
 
     MAX_STEPS = 10_000
 
-    mass: float = 1.0
+    mass: float = field(default=1.0, metadata={"key": "m"})
     step: float = 0.25
     steps: int = 12
 

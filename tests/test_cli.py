@@ -282,20 +282,40 @@ def test_run_unknown_scenario_is_config_error(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
-def test_run_unknown_key_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "scenario, key",
+    [
+        ("time-dilation", "bogus"),
+        # a scenario's grid is not a config key
+        ("time-dilation", "grid"),
+        ("width-contraction", "grid"),
+        ("superposed-slice", "grid"),
+        ("superposition-of-boosts", "grid"),
+        # a field whose key differs is not set by its field name
+        ("time-dilation", "omega1"),
+        ("length-contraction", "v_b"),
+        ("superposed-slice", "payload_time"),
+        ("nonrel-interference", "sigma_x"),
+        ("propagator-table", "mass"),
+    ],
+)
+def test_run_unknown_key_is_config_error(tmp_path, capsys, scenario, key):
     code = cli.main(
         [
             "run",
             "--scenario",
-            "time-dilation",
+            scenario,
             "--set",
-            "bogus=1",
+            f"{key}=1",
             "--out",
             str(tmp_path),
         ]
     )
     assert code == 1
-    assert "unknown parameter" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unknown parameter(s) {key} for scenario {scenario}" in err
+    known = err.rstrip().rpartition("known: ")[2].split(", ")
+    assert key not in known and "grid" not in known
 
 
 def test_run_bad_parameter_is_config_error(tmp_path, capsys):

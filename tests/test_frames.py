@@ -602,3 +602,6 @@ def test_lattice_validation():
         SharpExternalState(lat, ("A", "B"), ((1.0, (0, 1)), (0.5, (0, 1))))
     with pytest.raises(ValueError):
         LatticeTwirlState(lat, ("A", "B"), np.zeros((4, 3)))
+    # a repeated label would leave the frame to jump to ambiguous
+    with pytest.raises(ValueError, match="system label 'A' is repeated"):
+        LatticeTwirlState(CyclicLattice(2, 0.5), ("A", "A"), np.eye(2))
