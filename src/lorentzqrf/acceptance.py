@@ -328,13 +328,13 @@ def criterion_6() -> CriterionResult:
                     float(np.max(np.abs(resample(p1).amplitudes - moved))),
                 )
 
-    passed = drift < 1e-12 and worst_round < 1e-10 and worst_matrix < 1e-12
+    passed = drift < 1e-12 and worst_round == 0.0 and worst_matrix < 1e-12
     return CriterionResult(
         6,
         "frame-change unitarity and round trip",
         passed,
         f"norm drift {drift:.3e} (tol 1e-12), round-trip dev {worst_round:.3e} "
-        f"(tol 1e-10), shift-matrix oracle dev {worst_matrix:.3e}",
+        f"(must be exact), shift-matrix oracle dev {worst_matrix:.3e}",
         {
             "norm_drift": drift,
             "round_trip": worst_round,

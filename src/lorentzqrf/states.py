@@ -51,8 +51,8 @@ products of at most 4096 terms instead), so it keeps its bits across the
 thread counts of one BLAS.  The columns, and each tile of rows with its
 result, hold at most half of a 2^19-entry block (8 MiB complex), so working
 memory stays within two blocks however many points are requested.  The
-equation-of-motion residual uses the same window and rotates its nine
-stencil samples from one cos/sin row per probe.
+equation-of-motion residual folds its stencil into one long-double factor
+per window site and sums each probe through the single-point path.
 
 A state sits at theta_j = grid.thetas[j] + origin.  A boost by alpha only
 moves the origin by -alpha (a'(theta) = a(theta + alpha), support moved by
@@ -778,62 +778,60 @@ def kg_equation_residual(
     """Max |d^2psi/dt^2 (finite differences) - sum_j w_j (-E_j^2) e^{...} a_j|.
 
     Path 1 differentiates the reconstructed wavefunction numerically in t
-    (8th-order central stencil, step scaled to the state's energy content);
-    path 2 multiplies the amplitudes spectrally by -E^2.  Both equal
-    (d^2/dx^2 - m^2) psi for an on-shell state, so the difference is a pure
-    discretization/consistency residual.
+    (8th-order central stencil c_k, step delta scaled to the state's energy
+    content); path 2 multiplies the amplitudes spectrally by -E^2.  Both
+    equal (d^2/dx^2 - m^2) psi for an on-shell state, so the difference is a
+    pure discretization/consistency residual.
+
+    Both paths are linear in the amplitudes, so at each probe the difference
+    is one spectral sum |sum_j w_j a_j exp(-i (E_j t - p_j x)) H_j|, with
+    H_j = E_j^2 + sum_k c_k exp(-i E_j (k delta + r_k)) / (5040 delta^2) and
+    r_k the rounding remainder of the double t + k delta.  The stencil
+    cancels -E_j^2 to its O((delta E_j)^8) truncation inside H_j, so that
+    part, E_j^2 + (c_0 + 2 sum_{k>0} c_k cos(k delta E_j)) / (5040 delta^2)
+    (the stencil is symmetric), is taken once per call in long double: its
+    terms are up to 14350 / (5040 delta^2), about 800 <E^2>, whose double
+    rounding would rival the residual.  The remainder terms, exp(-i E r) - 1
+    = -i E r - (E r)^2/2 + O((E r)^3) with |E r| about 1e-16 |E t|, are that
+    much smaller and are added per probe in double.  H_j is then as small as
+    the residual, so nothing cancels in the sum over sites, and
+    `_synthesize` takes it in double.  Non-finite probes, an empty probe list
+    and a non-finite residual raise ValueError.
     """
     if points is None:
         points = default_probe_points(state)
+    if len(points) == 0:
+        raise ValueError("kg_equation_residual needs at least one probe point")
     dens = state.weights * np.abs(state.amplitudes) ** 2
     total = float(np.sum(dens))
     if total <= 0.0:
         raise ValueError("state has no support")
     e2_mean = float(np.sum(dens * state.energies**2) / total)
-    e_eff = math.sqrt(e2_mean)
     # stencil step: balance 8th-order truncation against extended-precision rounding
-    delta = 0.06 / e_eff
-    # extended precision throughout: the answer is a small difference of
-    # terms of size E^2 |psi|, where double rounding would dominate
+    delta = 0.06 / math.sqrt(e2_mean)
     ld = np.longdouble
     win = state.window
-    th = state.thetas[win].astype(ld)
-    e = ld(state.mass) * np.cosh(th)
-    p = ld(state.mass) * np.sinh(th)
-    w = state.grid.weights[win].astype(ld)
-    wa_re = w * state.amplitudes[win].real.astype(ld)
-    wa_im = w * state.amplitudes[win].imag.astype(ld)
+    e = ld(state.mass) * np.cosh(state.thetas[win].astype(ld))
     fd_scale = 5040 * ld(delta) ** 2
-    # the stencil samples psi at the doubles t + k*delta, k = -4..4; write each
-    # as t + k*delta_ld + r, where k*delta_ld is exact in longdouble and the
-    # rounding remainder r is too (up to longdouble rounding when |t| is far
-    # below delta).  Every probe then shares the rotations exp(-i E k delta)
-    # and keeps one cos/sin row of its own, with
-    # exp(-i E r) = 1 - i E r - (E r)^2/2 + O((E r)^3) and |E r| ~ 1e-16 |E t|
-    ks = range(-4, 5)
-    steps = np.array(ks) * ld(delta)
-    rot = -np.outer(steps, e)
-    rot_re, rot_im = np.cos(rot), np.sin(rot)
-    powers = (1, e, e * e)
+    # k*delta is exact in long double, and so is each remainder r_k (up to
+    # long-double rounding when |t| is far below delta)
+    steps = np.arange(-4, 5) * ld(delta)
+    stencil = _FD8[4] + 2 * (_FD8[5:] @ np.cos(np.outer(steps[5:], e)))
+    h0 = (e * e + stencil / fd_scale).astype(float)
+    e = e.astype(float)
+    # c_k exp(-i E_j k delta) / (5040 delta^2), the rows the remainders weight
+    rot = np.exp(-1j * np.outer(steps.astype(float), e)) * (_FD8 / fd_scale).astype(float)[:, None]
+    wa = state.weights[win] * state.amplitudes[win]
     worst = 0.0
     for pt in points:
         t, x = pt
-        r = np.array([t + k * delta for k in ks], dtype=ld) - ld(t) - steps
-        arg = -(e * ld(t) - p * ld(x))
-        cos, sin = np.cos(arg), np.sin(arg)
-        b_re = cos * wa_re - sin * wa_im
-        b_im = cos * wa_im + sin * wa_re
-        # one row of terms per stencil sample; row 4 is the probe itself
-        terms_re = b_re * rot_re - b_im * rot_im
-        terms_im = b_re * rot_im + b_im * rot_re
-        # pairwise sums over the sites of E^0, E^1 and E^2 times the terms
-        (s0_re, s1_re, s2_re), (s0_im, s1_im, s2_im) = (
-            [(terms * f).sum(axis=1) for f in powers] for terms in (terms_re, terms_im)
-        )
-        sample_re = s0_re + r * s1_im - r * r / 2 * s2_re
-        sample_im = s0_im - r * s1_re - r * r / 2 * s2_im
-        # path 2 is -sum E^2 (terms of row 4), whose remainder r is 0
-        d_re = _FD8 @ sample_re / fd_scale + s2_re[4]
-        d_im = _FD8 @ sample_im / fd_scale + s2_im[4]
-        worst = max(worst, math.hypot(float(d_re), float(d_im)))
-    return worst
+        if not (math.isfinite(t) and math.isfinite(x)):
+            raise ValueError(f"probe point {pt!r} is not finite")
+        r = np.array([t + k * delta for k in range(-4, 5)], dtype=ld) - ld(t) - steps
+        s1, s2 = ((v.astype(float)[:, None] * rot).sum(axis=0) for v in (r, r * r))
+        h = h0 - 1j * e * s1 - e * e / 2 * s2
+        value = abs(_synthesize(state, wa * h, [t], [x])[0, 0])
+        if not math.isfinite(value):
+            raise ValueError(f"residual at probe point {pt!r} is not finite")
+        worst = max(worst, value)
+    return float(worst)

@@ -778,7 +778,7 @@ def _residual_reference(state, points):
     """The residual evaluated site by site over the whole grid, one
     extended-precision wavefunction per stencil sample."""
     ld = np.longdouble
-    th = state.grid.thetas.astype(ld)
+    th = state.thetas.astype(ld)
     e = ld(state.mass) * np.cosh(th)
     p = ld(state.mass) * np.sinh(th)
     w = state.grid.weights.astype(ld)
@@ -806,14 +806,63 @@ def _residual_reference(state, points):
 
 
 def test_kg_equation_residual_matches_unwindowed_reference(grid):
+    # the hard marker, criterion 10's off-lattice boosted slice payload and a
+    # narrow-spectrum state (sigma m = 5), the last two also at |t| near 50
+    # (on the marker, at E t ~ 2500, the reference's own long-double phases
+    # would err by 2e-15 scale); the shipped code errs by at most 4.7e-17
+    # scale, computing H_j in double instead by 4.6e-16 to 1.1e-14 scale
     rng = np.random.default_rng(24)
     hard = normalize(
         from_spacetime_function(
             Gaussian2D(1.0, 0.3, 0.02, 0.02, energy=50.0), 50.0, grid
         )
     )
-    for s in (_random_packet(rng, grid), hard):
-        points = default_probe_points(s, 6)
+    payload = from_spacetime_function(Slice(0.4, GaussianProfile(0.0, 1.0)), 1.0, grid)
+    boosted = normalize(boost_state(payload, -0.65))
+    narrow = normalize(from_spacetime_function(Slice(0.0, GaussianProfile(0.0, 5.0)), 1.0, grid))
+    far = [(50.0 + 0.37 * i, 0.5 * i - 1.0) for i in range(-3, 3)]
+    cases = [
+        (s, default_probe_points(s, 6))
+        for s in (_random_packet(rng, grid), hard, boosted, narrow)
+    ]
+    cases += [(boosted, far), (narrow, [(-t, x) for t, x in far])]
+    for s, points in cases:
         scale = float(np.sum(s.weights * s.energies**2 * np.abs(s.amplitudes)))
         got = kg_equation_residual(s, points)
-        assert abs(got - _residual_reference(s, points)) < 1e-14 * scale
+        assert type(got) is float
+        assert abs(got - _residual_reference(s, points)) < 1.5e-16 * scale
+
+
+def test_kg_equation_residual_rejects_bad_probes(grid):
+    marker = from_spacetime_function(
+        Gaussian2D(1.0, 0.3, 0.02, 0.02, energy=50.0), 50.0, grid
+    )
+    for points in ([(math.nan, 0.0)], [(math.inf, 0.0)], [(1.0, 0.3), (0.0, -math.inf)]):
+        with pytest.raises(ValueError, match="probe point .* is not finite"):
+            kg_equation_residual(marker, points)
+    with pytest.raises(ValueError, match="at least one probe point"):
+        kg_equation_residual(marker, [])
+    # a finite probe whose phase E t overflows
+    with pytest.raises(ValueError, match=r"residual at probe point \(1e\+308, 0.0\) is not finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            kg_equation_residual(marker, [(1.0, 0.3), (1e308, 0.0)])
+
+
+def test_kg_equation_residual_memory_does_not_grow_with_probes(grid):
+    rng = np.random.default_rng(22)
+    a = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
+    s = RapidityState(grid, 0.01, a)
+    assert s.window == slice(0, grid.count)
+    points = [(float(t), float(x)) for t, x in rng.uniform(-5.0, 5.0, size=(256, 2))]
+    kg_equation_residual(s, points[:1])  # fill the grid caches outside the measurement
+    peaks = []
+    for count in (16, 256):
+        tracemalloc.start()
+        try:
+            kg_equation_residual(s, points[:count])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    # a few rows over the 4096-site window: 2.0 MB measured
+    assert peaks[1] < 3e6
