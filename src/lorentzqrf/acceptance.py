@@ -189,8 +189,7 @@ def criterion_3() -> CriterionResult:
             DilationScenario(t1=t1, dt=dt, x0=x0, omega1=om1, omega2=om2)
         )
         for check in rep.branches:
-            rel = abs(check.measured - check.predicted) / abs(check.predicted)
-            worst_exact = max(worst_exact, rel)
+            worst_exact = max(worst_exact, check.deviation)
             checked += 1
     packet = run_time_dilation(
         DilationScenario(
@@ -200,9 +199,7 @@ def criterion_3() -> CriterionResult:
             x0=0.3,
         )
     )
-    worst_packet = max(
-        abs(c.measured - c.predicted) / abs(c.predicted) for c in packet.branches
-    )
+    worst_packet = max(c.deviation for c in packet.branches)
     passed = worst_exact < 1e-12 and worst_packet < 1e-2
     return CriterionResult(
         3,
@@ -221,11 +218,9 @@ def criterion_4() -> CriterionResult:
     worst_sim = 0.0
     for check in rep.branches:
         if check.label.endswith("length"):
-            worst_len = max(
-                worst_len, abs(check.measured - check.predicted) / check.predicted
-            )
+            worst_len = max(worst_len, check.deviation)
         else:
-            worst_sim = max(worst_sim, abs(check.measured))
+            worst_sim = max(worst_sim, check.deviation)
     passed = worst_len < 1e-12 and worst_sim < 1e-12
     return CriterionResult(
         4,
@@ -240,9 +235,7 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Gaussian width contraction by wave-packet fit."""
     rep = run_width_contraction(WidthScenario())
-    worst = max(
-        abs(c.measured - c.predicted) / c.predicted for c in rep.branches
-    )
+    worst = max(c.deviation for c in rep.branches)
     passed = worst < 1e-2
     return CriterionResult(
         5,

@@ -167,7 +167,7 @@ def _polyline_points(panel: _Panel, xs, ys) -> str:
 
     px/py map whole arrays in the scalar operation order, so every pixel keeps
     its bits, and one "%.3f" call formats them all.  The arrays live only in
-    this call, so line_chart peaks no higher than formatting point by point.
+    this call, so a chart peaks no higher than formatting point by point.
     """
     n = min(len(xs), len(ys))
     pixels = np.empty(2 * n)
@@ -223,12 +223,10 @@ def event_chart(
     for i, (label, events) in enumerate(groups):
         color = PALETTE[i % len(PALETTE)]
         if len(events) > 1:
-            points = " ".join(
-                f"{_fmt(panel.px(ev[1]))},{_fmt(panel.py(ev[0]))}" for ev in events
-            )
+            xs, ts = [ev[1] for ev in events], [ev[0] for ev in events]
             parts.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" '
-                'stroke-width="1" stroke-dasharray="4 3"/>'
+                f'<polyline points="{_polyline_points(panel, xs, ts)}" fill="none" '
+                f'stroke="{color}" stroke-width="1" stroke-dasharray="4 3"/>'
             )
         for ev in events:
             parts.append(
@@ -295,13 +293,9 @@ def support_heatmap(
                 )
     for i, (label, rx, rt) in enumerate(ridges):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(
-            f"{_fmt(panel.px(float(x)))},{_fmt(panel.py(float(t)))}"
-            for x, t in zip(rx, rt)
-        )
         parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
-            'stroke-width="1.5" stroke-dasharray="6 3"/>'
+            f'<polyline points="{_polyline_points(panel, rx, rt)}" fill="none" '
+            f'stroke="{color}" stroke-width="1.5" stroke-dasharray="6 3"/>'
         )
     parts.extend(panel.legend([label for label, _ in layers]))
     return _document(parts)

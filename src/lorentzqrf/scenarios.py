@@ -99,13 +99,16 @@ class BranchCheck:
     path: str
 
     @property
-    def passed(self) -> bool:
-        # bool(): np.float64 fields would otherwise give an np.bool_
+    def deviation(self) -> float:
+        """|measured - predicted| / |predicted|, or |measured| when predicted is 0."""
         if self.predicted != 0.0:
-            return bool(
-                abs(self.measured - self.predicted) <= self.tolerance * abs(self.predicted)
-            )
-        return bool(abs(self.measured) <= self.tolerance)
+            return float(abs(self.measured - self.predicted) / abs(self.predicted))
+        return float(abs(self.measured))
+
+    @property
+    def passed(self) -> bool:
+        # bool(): an np.float64 tolerance would otherwise give an np.bool_
+        return bool(self.deviation <= self.tolerance)
 
     def to_dict(self) -> dict:
         return {

@@ -51,8 +51,9 @@ products of at most 4096 terms instead), so it keeps its bits across the
 thread counts of one BLAS.  The columns, and each tile of rows with its
 result, hold at most half of a 2^19-entry block (8 MiB complex), so working
 memory stays within two blocks however many points are requested.  The
-equation-of-motion residual folds its stencil into one long-double factor
-per window site and sums each probe through the single-point path.
+equation-of-motion residual samples its stencil at the exact times, folds
+it into one long-double factor per window site once per call and sums each
+probe through the single-point path.
 
 A state sits at theta_j = grid.thetas[j] + origin.  A boost by alpha only
 moves the origin by -alpha (a'(theta) = a(theta + alpha), support moved by
@@ -337,12 +338,8 @@ class RapidityState:
         idx = np.flatnonzero(mag > _WINDOW_CUT * peak)
         return slice(int(idx[0]), int(idx[-1]) + 1)
 
-    def with_amplitudes(
-        self, amplitudes: np.ndarray, extra_notes: tuple[str, ...] = ()
-    ) -> "RapidityState":
-        return replace(
-            self, amplitudes=amplitudes, notes=self.notes + tuple(extra_notes)
-        )
+    def with_amplitudes(self, amplitudes: np.ndarray) -> "RapidityState":
+        return replace(self, amplitudes=amplitudes)
 
 
 _SUPPORT_CUT = 1e-10  # relative amplitude treated as negligible for support checks
@@ -679,7 +676,10 @@ def boost_state(state: RapidityState, alpha: float) -> RapidityState:
     return boosted
 
 
-_LATTICE_SNAP = 1e-9  # |origin/step - round| below this counts as a lattice shift
+# |origin/step - round| below this counts as a lattice shift: a boost by
+# n*step formed in floats does not always divide back to exactly n, and the
+# six-point filter would then interpolate what is an exact index shift
+_LATTICE_SNAP = 1e-9
 _TAPS = range(-2, 4)  # source sites about the floor of a target's index, read by resample
 
 
@@ -758,14 +758,18 @@ def resample(state: RapidityState) -> RapidityState:
 _FD8 = np.array([-9, 128, -1008, 8064, -14350, 8064, -1008, 128, -9])
 
 
-def default_probe_points(state: RapidityState, n: int = 16) -> list[SpacetimePoint]:
-    """Probe events spread over the state's spacetime support scale."""
+def _energy_moment(state: RapidityState, n: int) -> float:
+    """Density moment sum w |a|^2 E^n / sum w |a|^2."""
     dens = state.weights * np.abs(state.amplitudes) ** 2
     total = float(np.sum(dens))
     if total <= 0.0:
         raise ValueError("state has no support")
-    e_mean = float(np.sum(dens * state.energies) / total)
-    scale = 1.0 / e_mean
+    return float(np.sum(dens * state.energies**n) / total)
+
+
+def default_probe_points(state: RapidityState, n: int = 16) -> list[SpacetimePoint]:
+    """Probe events spread over the state's spacetime support scale."""
+    scale = 1.0 / _energy_moment(state, 1)
     rng = np.random.default_rng(161803)
     pts = rng.uniform(-4.0, 4.0, size=(n, 2)) * scale
     return [SpacetimePoint(float(t), float(x)) for t, x in pts]
@@ -783,54 +787,34 @@ def kg_equation_residual(
     equal (d^2/dx^2 - m^2) psi for an on-shell state, so the difference is a
     pure discretization/consistency residual.
 
-    Both paths are linear in the amplitudes, so at each probe the difference
-    is one spectral sum |sum_j w_j a_j exp(-i (E_j t - p_j x)) H_j|, with
-    H_j = E_j^2 + sum_k c_k exp(-i E_j (k delta + r_k)) / (5040 delta^2) and
-    r_k the rounding remainder of the double t + k delta.  The stencil
-    cancels -E_j^2 to its O((delta E_j)^8) truncation inside H_j, so that
-    part, E_j^2 + (c_0 + 2 sum_{k>0} c_k cos(k delta E_j)) / (5040 delta^2)
-    (the stencil is symmetric), is taken once per call in long double: its
-    terms are up to 14350 / (5040 delta^2), about 800 <E^2>, whose double
-    rounding would rival the residual.  The remainder terms, exp(-i E r) - 1
-    = -i E r - (E r)^2/2 + O((E r)^3) with |E r| about 1e-16 |E t|, are that
-    much smaller and are added per probe in double.  H_j is then as small as
-    the residual, so nothing cancels in the sum over sites, and
-    `_synthesize` takes it in double.  Non-finite probes, an empty probe list
-    and a non-finite residual raise ValueError.
+    Both paths are linear in the amplitudes, and the stencil samples psi at
+    the exact times t + k delta, so at each probe the difference is one
+    spectral sum |sum_j w_j a_j exp(-i (E_j t - p_j x)) H_j| with H_j = E_j^2
+    + (c_0 + 2 sum_{k>0} c_k cos(k delta E_j)) / (5040 delta^2) (the stencil
+    is symmetric).  H_j cancels E_j^2 to its O((delta E_j)^8) truncation
+    from terms up to 14350 / (5040 delta^2), about 800 <E^2>, so it is taken
+    once per call in long double; nothing cancels in the sum over sites,
+    which `_synthesize` takes in double.  Non-finite probes, an empty probe
+    list and a non-finite residual raise ValueError.
     """
     if points is None:
         points = default_probe_points(state)
     if len(points) == 0:
         raise ValueError("kg_equation_residual needs at least one probe point")
-    dens = state.weights * np.abs(state.amplitudes) ** 2
-    total = float(np.sum(dens))
-    if total <= 0.0:
-        raise ValueError("state has no support")
-    e2_mean = float(np.sum(dens * state.energies**2) / total)
-    # stencil step: balance 8th-order truncation against extended-precision rounding
-    delta = 0.06 / math.sqrt(e2_mean)
     ld = np.longdouble
+    # stencil step: balance 8th-order truncation against extended-precision rounding
+    delta = ld(0.06 / math.sqrt(_energy_moment(state, 2)))
     win = state.window
     e = ld(state.mass) * np.cosh(state.thetas[win].astype(ld))
-    fd_scale = 5040 * ld(delta) ** 2
-    # k*delta is exact in long double, and so is each remainder r_k (up to
-    # long-double rounding when |t| is far below delta)
-    steps = np.arange(-4, 5) * ld(delta)
-    stencil = _FD8[4] + 2 * (_FD8[5:] @ np.cos(np.outer(steps[5:], e)))
-    h0 = (e * e + stencil / fd_scale).astype(float)
-    e = e.astype(float)
-    # c_k exp(-i E_j k delta) / (5040 delta^2), the rows the remainders weight
-    rot = np.exp(-1j * np.outer(steps.astype(float), e)) * (_FD8 / fd_scale).astype(float)[:, None]
-    wa = state.weights[win] * state.amplitudes[win]
+    stencil = _FD8[4] + 2 * (_FD8[5:] @ np.cos(np.outer(np.arange(1, 5) * delta, e)))
+    h = (e * e + stencil / (5040 * delta**2)).astype(float)
+    coeffs = state.weights[win] * state.amplitudes[win] * h
     worst = 0.0
     for pt in points:
         t, x = pt
         if not (math.isfinite(t) and math.isfinite(x)):
             raise ValueError(f"probe point {pt!r} is not finite")
-        r = np.array([t + k * delta for k in range(-4, 5)], dtype=ld) - ld(t) - steps
-        s1, s2 = ((v.astype(float)[:, None] * rot).sum(axis=0) for v in (r, r * r))
-        h = h0 - 1j * e * s1 - e * e / 2 * s2
-        value = abs(_synthesize(state, wa * h, [t], [x])[0, 0])
+        value = abs(_synthesize(state, coeffs, [t], [x])[0, 0])
         if not math.isfinite(value):
             raise ValueError(f"residual at probe point {pt!r} is not finite")
         worst = max(worst, value)

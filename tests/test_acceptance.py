@@ -4,6 +4,7 @@ The suite itself (lorentzqrf.acceptance) carries the oracles; these tests
 assert each criterion's verdict and surface its one-line summary.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -85,6 +86,23 @@ def test_payload_is_canonical_and_complete(suite):
     blob = canonical_json(payload)
     parsed = json.loads(blob)
     assert canonical_json(parsed) == blob
+
+
+def test_benchmark_criterion_bounds_name_detail_keys(suite):
+    """`perfbench/workloads.py` reads each (criterion, key) of its
+    CRITERION_BOUNDS from that criterion's details, so a renamed key fails
+    here before it fails a benchmark run.  The file is parsed, not imported."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bounds = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "CRITERION_BOUNDS" for t in node.targets)
+    )
+    details = {r.number: r.details for r in suite}
+    missing = [(n, key) for n, key, _ in bounds if key not in details[n]]
+    assert bounds and missing == []
 
 
 def test_criterion_2_bessel_constants_match_scipy():

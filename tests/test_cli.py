@@ -174,6 +174,29 @@ def _per_point_line_chart(series, title="", xlabel="x", ylabel="y"):
     return plots._document(parts)
 
 
+def _per_point_event_chart(groups, title="", xlabel="x", ylabel="t"):
+    """`plots.event_chart` as one px/py and _fmt call per point, for reference."""
+    xr = plots._finite_range([ev[1] for _, evs in groups for ev in evs])
+    tr = plots._finite_range([ev[0] for _, evs in groups for ev in evs])
+    if xr is None or tr is None:
+        return plots._blank(title, xlabel, ylabel)
+    panel = plots._Panel(xr, tr, title, xlabel, ylabel)
+    parts = panel.frame()
+    for i, (_, events) in enumerate(groups):
+        color = plots.PALETTE[i % len(plots.PALETTE)]
+        pixels = [(plots._fmt(panel.px(ev[1])), plots._fmt(panel.py(ev[0]))) for ev in events]
+        if len(events) > 1:
+            points = " ".join(f"{px},{py}" for px, py in pixels)
+            parts.append(
+                f'<polyline points="{points}" fill="none" stroke="{color}" '
+                'stroke-width="1" stroke-dasharray="4 3"/>'
+            )
+        for px, py in pixels:
+            parts.append(f'<circle cx="{px}" cy="{py}" r="4" fill="{color}"/>')
+    parts.extend(panel.legend([label for label, _ in groups]))
+    return plots._document(parts)
+
+
 _chart_values = st.floats(-1e6, 1e6) | st.sampled_from(
     [-0.0, 1e-300, math.inf, -math.inf, math.nan]
 )
@@ -186,7 +209,10 @@ _chart_series = st.tuples(
 
 @given(st.lists(_chart_series, max_size=4), st.booleans())
 @example([("one", [0.5], [-2.0]), ("short", [0.0, 1.0, 2.0, 3.0], [1.0, -1.0])], False)
-def test_line_chart_matches_per_point_reference(series, as_arrays):
+def test_charts_match_per_point_reference(series, as_arrays):
+    # event_chart draws events (t, x) of the same values: t = y, x = x
+    groups = [(label, list(zip(ys, xs))) for label, xs, ys in series]
+    assert plots.event_chart(groups, title="t") == _per_point_event_chart(groups, title="t")
     if as_arrays:
         series = [(label, np.array(xs), np.array(ys)) for label, xs, ys in series]
     assert plots.line_chart(series, title="t") == _per_point_line_chart(series, title="t")
@@ -804,12 +830,15 @@ def _per_value_json(obj):
     return reporting.canonical_json(obj)
 
 
-@pytest.mark.parametrize("name", ["superposition-of-boosts", "width-contraction"])
+@pytest.mark.parametrize(
+    "name", ["superposition-of-boosts", "width-contraction", "coordinate-transform"]
+)
 def test_bulk_rows_and_polylines_match_per_value_emitters(monkeypatch, name):
     rep = LIBRARY_RUNS[name]().to_dict()
     assert reporting.canonical_json(rep) == _per_value_json(rep)
     svg = cli.SCENARIOS[name].plot(rep)
     monkeypatch.setattr(plots, "line_chart", _per_point_line_chart)
+    monkeypatch.setattr(plots, "event_chart", _per_point_event_chart)
     assert svg == cli.SCENARIOS[name].plot(rep)
 
 

@@ -46,13 +46,18 @@ from lorentzqrf.states import (
 def test_branch_check_pass_semantics():
     rel = BranchCheck("a", 1.0, 2.0, 2.0 + 1e-13, 1e-12, "exact-coordinate")
     assert rel.passed
+    assert rel.deviation == abs((2.0 + 1e-13) - 2.0) / 2.0
     rel_bad = BranchCheck("a", 1.0, 2.0, 2.0 + 1e-11, 1e-12, "exact-coordinate")
     assert not rel_bad.passed
+    assert rel_bad.deviation == abs((2.0 + 1e-11) - 2.0) / 2.0
+    negative = BranchCheck("a", 1.0, -4.0, -3.0, 0.25, "exact-coordinate")
+    assert negative.deviation == 0.25 and negative.passed
     # zero prediction switches to an absolute comparison
     zero_ok = BranchCheck("a", 1.0, 0.0, 5e-13, 1e-12, "exact-coordinate")
-    assert zero_ok.passed
-    zero_bad = BranchCheck("a", 1.0, 0.0, 5e-12, 1e-12, "exact-coordinate")
-    assert not zero_bad.passed
+    assert zero_ok.passed and zero_ok.deviation == 5e-13
+    zero_bad = BranchCheck("a", 1.0, 0.0, -5e-12, 1e-12, "exact-coordinate")
+    assert not zero_bad.passed and zero_bad.deviation == 5e-12
+    assert type(zero_bad.deviation) is float and type(zero_bad.passed) is bool
 
 
 def test_report_serialization_round_trip_shape():

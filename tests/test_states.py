@@ -776,41 +776,30 @@ def test_kg_equation_residual_small(grid):
 
 def _residual_reference(state, points):
     """The residual evaluated site by site over the whole grid, one
-    extended-precision wavefunction per stencil sample."""
+    extended-precision wavefunction per stencil sample at the exact time
+    t + k delta, its phase factored as exp(-i E t) exp(-i E k delta)."""
     ld = np.longdouble
-    th = state.thetas.astype(ld)
-    e = ld(state.mass) * np.cosh(th)
-    p = ld(state.mass) * np.sinh(th)
-    w = state.grid.weights.astype(ld)
-    ar = state.amplitudes.real.astype(ld)
-    ai = state.amplitudes.imag.astype(ld)
-
-    def psi(t, x, factor):
-        arg = -(e * ld(t) - p * ld(x))
-        re = np.sum(factor * w * (np.cos(arg) * ar - np.sin(arg) * ai))
-        im = np.sum(factor * w * (np.cos(arg) * ai + np.sin(arg) * ar))
-        return re, im
-
+    e = ld(state.mass) * np.cosh(state.thetas.astype(ld))
+    p = ld(state.mass) * np.sinh(state.thetas.astype(ld))
+    wa = state.grid.weights.astype(ld) * state.amplitudes.astype(np.clongdouble)
     dens = state.weights * np.abs(state.amplitudes) ** 2
     e2_mean = float(np.sum(dens * state.energies**2) / np.sum(dens))
-    delta = 0.06 / math.sqrt(e2_mean)
+    delta = ld(0.06 / math.sqrt(e2_mean))
     stencil = [ld(c) / 5040 for c in (-9, 128, -1008, 8064, -14350, 8064, -1008, 128, -9)]
     worst = 0.0
     for t, x in points:
-        samples = [psi(t + k * delta, x, ld(1)) for k in range(-4, 5)]
-        fd_re = sum(c * s[0] for c, s in zip(stencil, samples)) / ld(delta) ** 2
-        fd_im = sum(c * s[1] for c, s in zip(stencil, samples)) / ld(delta) ** 2
-        ref_re, ref_im = psi(t, x, -(e * e))
-        worst = max(worst, math.hypot(float(fd_re - ref_re), float(fd_im - ref_im)))
+        psi = wa * np.exp(-1j * (e * ld(t) - p * ld(x)))
+        samples = [np.sum(psi * np.exp(-1j * e * (k * delta))) for k in range(-4, 5)]
+        fd = sum(c * v for c, v in zip(stencil, samples))
+        worst = max(worst, float(abs(fd / delta**2 - np.sum(psi * -(e * e)))))
     return worst
 
 
 def test_kg_equation_residual_matches_unwindowed_reference(grid):
     # the hard marker, criterion 10's off-lattice boosted slice payload and a
-    # narrow-spectrum state (sigma m = 5), the last two also at |t| near 50
-    # (on the marker, at E t ~ 2500, the reference's own long-double phases
-    # would err by 2e-15 scale); the shipped code errs by at most 4.7e-17
-    # scale, computing H_j in double instead by 4.6e-16 to 1.1e-14 scale
+    # narrow-spectrum state (sigma m = 5), each also at |t| near 50; the
+    # shipped code errs by at most 7.8e-17 scale, computing H_j in double
+    # instead by 4.5e-16 to 1.1e-14 scale
     rng = np.random.default_rng(24)
     hard = normalize(
         from_spacetime_function(
@@ -825,12 +814,24 @@ def test_kg_equation_residual_matches_unwindowed_reference(grid):
         (s, default_probe_points(s, 6))
         for s in (_random_packet(rng, grid), hard, boosted, narrow)
     ]
-    cases += [(boosted, far), (narrow, [(-t, x) for t, x in far])]
+    cases += [(hard, far), (boosted, far), (narrow, [(-t, x) for t, x in far])]
     for s, points in cases:
         scale = float(np.sum(s.weights * s.energies**2 * np.abs(s.amplitudes)))
         got = kg_equation_residual(s, points)
         assert type(got) is float
         assert abs(got - _residual_reference(s, points)) < 1.5e-16 * scale
+
+
+def test_kg_equation_residual_does_not_grow_with_time(grid):
+    # the stencil samples psi at the exact times t + k delta, so rounding
+    # t + k delta to a double cannot bend it: 2.5e-11 and 4.6e-11 measured
+    marker = normalize(
+        from_spacetime_function(
+            Gaussian2D(1.0, 0.3, 0.02, 0.02, energy=50.0), 50.0, grid
+        )
+    )
+    for t in (1e3, 1e6):
+        assert kg_equation_residual(marker, [(t, 0.3)]) < 1e-8
 
 
 def test_kg_equation_residual_rejects_bad_probes(grid):
