@@ -237,6 +237,18 @@ def event_chart(
     return _document(parts)
 
 
+def _cell_axis(v: np.ndarray, name: str) -> tuple[tuple[float, float], float]:
+    """Panel range and half cell width of a heatmap axis: its ends and half
+    its first step, or for one value the range `_finite_range` gives a
+    constant series, which the one cell fills."""
+    if v.size > 1:
+        return (float(v[0]), float(v[-1])), 0.5 * (v[1] - v[0])
+    span = _finite_range(v)
+    if span is None:
+        raise ValueError(f"heatmap axis {name} holds no finite value")
+    return span, 0.5 * (span[1] - span[0])
+
+
 def support_heatmap(
     xs,
     ts,
@@ -264,13 +276,9 @@ def support_heatmap(
     top = max(float(np.max(z)) for _, z in layers)
     if top <= 0.0:
         return _blank(title, xlabel, ylabel)
-    panel = _Panel(
-        (float(xs[0]), float(xs[-1])), (float(ts[0]), float(ts[-1])),
-        title, xlabel, ylabel,
-    )
+    (x_range, half_w), (t_range, half_t) = _cell_axis(xs, "xs"), _cell_axis(ts, "ts")
+    panel = _Panel(x_range, t_range, title, xlabel, ylabel)
     parts = panel.frame()
-    half_w = 0.5 * (xs[1] - xs[0]) if len(xs) > 1 else 0.5
-    half_t = 0.5 * (ts[1] - ts[0]) if len(ts) > 1 else 0.5
     cell_w = abs(panel.px(xs[0] + 2 * half_w) - panel.px(xs[0]))
     cell_h = abs(panel.py(ts[0]) - panel.py(ts[0] + 2 * half_t))
     for i, (label, z) in enumerate(layers):

@@ -28,32 +28,35 @@ shell, and every such state is normalizable.
 Every spectral sum of the wavefunction's form (wavefunctions, gridded
 wavefunctions, slice profiles) goes through one kernel, `_synthesize`.  It
 sums only over the smallest index window holding every |a_j| > 1e-16 max|a|,
-n sites (`RapidityState.window`, found once per state), and runs each call
-as one tiled complex GEMM.  An x axis that is an arithmetic progression
-(np.linspace axes are) is split as x[a*B + b] = X_a + b*dx with B about
-sqrt(N_t N_x): GEMM rows are the pairs (t, X_a) and columns the offsets b.
-Any other x axis is columns, one per point.  Every factor comes from small
-exponential tables: a progression v of N values gives exp(i k v_a) =
-hi[a // s] lo[a % s] from s = ceil(sqrt(N)) rows of each, for the t points,
-the x anchors and the x offsets, and a row entry is one fused exponential
-exp(i (p X_hi - E T_hi)) per pair of hi values times lo_t c lo_x, one
-product per entry; a t axis or anchor set that is no progression takes one
-exponential per point.  A 1xN line then costs about 4 N^(1/4) n complex
-exponentials (50 n for N = 20001, against N n for the direct sum), a 72x72
-patch about 35 n and a single point n, with the N_t N_x n multiply-adds in
-the GEMM.  Each split moves a point by at most 4 ulps of its axis's largest
-|value| (a point of x passes three: its own, its anchor's, its offset's),
-so the phase errs by O(|E| ulp(max|t|) + |p| ulp(max|x|)), the order at
-which the direct sum already rounds p*x; the at most 5 exponentials and 4
-complex products per term add about 14 u = 1.6e-15 relative (u = 2^-53).
-Zero sites pad the sum to a multiple of 8 (a single point is summed in dot
-products of at most 4096 terms instead), so it keeps its bits across the
-thread counts of one BLAS.  The columns, and each tile of rows with its
-result, hold at most half of a 2^19-entry block (8 MiB complex), so working
-memory stays within two blocks however many points are requested.  The
-equation-of-motion residual samples its stencil at the exact times, folds
-it into one long-double factor per window site once per call and sums each
-probe through the single-point path.
+n sites (`RapidityState.window`), and reads the window's E_j, p_j and
+w_j a_j from `RapidityState.spectrum`; both are computed once per state.  It
+runs each call as one tiled complex GEMM.  An x axis that is an arithmetic
+progression (np.linspace axes are) is split as x[a*B + b] = X_a + b*dx with
+B about sqrt(N_t N_x): GEMM rows are the pairs (t, X_a) and columns the
+offsets b.  Any other x axis is columns, one per point, in panels of one
+width that are built up to a block at a time, so each tile of rows is built
+once per block of columns.  Every factor comes from small exponential
+tables: a progression v of N values gives exp(i k v_a) = hi[a // s] lo[a % s]
+from s = ceil(sqrt(N)) rows of each, for the t points, the x anchors and the
+x offsets, and a row entry is one fused exponential exp(i (p X_hi - E T_hi))
+per pair of hi values times lo_t c lo_x, one product per entry; a t axis or
+anchor set that is no progression takes one exponential per point.  A 1xN
+line then costs about 4 N^(1/4) n complex exponentials (50 n for N = 20001,
+against N n for the direct sum), a 72x72 patch about 35 n and a single point
+n, with the N_t N_x n multiply-adds in the GEMM.  Each split moves a point
+by at most 4 ulps of its axis's largest |value| (a point of x passes three:
+its own, its anchor's, its offset's), so the phase errs by
+O(|E| ulp(max|t|) + |p| ulp(max|x|)), the order at which the direct sum
+already rounds p*x; the at most 5 exponentials and 4 complex products per
+term add about 14 u = 1.6e-15 relative (u = 2^-53).  Zero sites pad the sum
+to a multiple of 8 (a single point is summed in dot products of at most 4096
+terms instead), so it keeps its bits across the thread counts of one BLAS.
+Each tile of rows with its result holds at most half of a 2^19-entry block
+(8 MiB complex) and the columns at most one block, so working memory stays
+within two blocks however many points are requested.  The equation-of-motion
+residual samples its stencil at the exact times, folds it into one
+long-double factor per window site once per call and sums each probe through
+the single-point path.
 
 A state sits at theta_j = grid.thetas[j] + origin.  A boost by alpha only
 moves the origin by -alpha (a'(theta) = a(theta + alpha), support moved by
@@ -222,13 +225,19 @@ class Gaussian2D:
             raise ValueError("gaussian widths must be positive")
 
     def transform(self, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """integral dt dx exp(i e t - i p x) f(t, x)."""
+        """integral dt dx exp(i e t - i p x) f(t, x), for 1-d arrays e and p."""
         amp = 4.0 * math.pi * self.sigma_t * self.sigma_x
-        return amp * np.exp(
-            1j * (e * self.t0 - p * self.x0)
-            - self.sigma_t**2 * (e - self.energy) ** 2
-            - self.sigma_x**2 * (p - self.momentum) ** 2
-        )
+        de = self.sigma_t**2 * (e - self.energy) ** 2
+        dp = self.sigma_x**2 * (p - self.momentum) ** 2
+        # the exponential is 0 wherever its real part is below -746, so it is
+        # evaluated only between the first and last site above that; the rest
+        # hold amp * 0 (nan when amp overflows, as the full evaluation gives)
+        out = np.full(np.shape(e), amp * 0j)
+        live = np.flatnonzero(~(de + dp > 746.0))
+        if live.size:
+            s = slice(live[0], live[-1] + 1)
+            out[s] = amp * np.exp(1j * (e[s] * self.t0 - p[s] * self.x0) - de[s] - dp[s])
+        return out
 
     def __call__(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         u, v = np.asarray(t) - self.t0, np.asarray(x) - self.x0
@@ -283,6 +292,11 @@ class RapidityState:
     `notes` accumulates non-fatal diagnostics (support truncation).
     Amplitude j sits at rapidity grid.thetas[j] + origin; `origin_lo` is the
     rounding error boosts left in origin (`boost_state`).
+
+    Two properties are computed once per state, on first use: `window`, the
+    sites spectral sums run over, and `spectrum`, the energies, momenta and
+    weighted amplitudes w_j a_j on those sites.  A boost keeps `window` and
+    drops `spectrum`, whose E and p move with the origin.
     """
 
     grid: RapidityGrid
@@ -337,6 +351,20 @@ class RapidityState:
             return slice(0, 0)
         idx = np.flatnonzero(mag > _WINDOW_CUT * peak)
         return slice(int(idx[0]), int(idx[-1]) + 1)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (E_j, p_j, w_j a_j) over `window`, each zero-padded to a
+        multiple of 8 sites: what every spectral sum of the state reads."""
+        win = self.window
+        n = win.stop - win.start
+        th, size = self.thetas[win], -(-n // 8) * 8
+        e, p, c = np.zeros(size), np.zeros(size), np.zeros(size, dtype=complex)
+        e[:n], p[:n] = self.mass * np.cosh(th), self.mass * np.sinh(th)
+        c[:n] = self.weights[win] * self.amplitudes[win]
+        for v in (e, p, c):
+            v.flags.writeable = False
+        return e, p, c
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "RapidityState":
         return replace(self, amplitudes=amplitudes)
@@ -406,9 +434,10 @@ def _synthesize(
     state: RapidityState, coeffs: np.ndarray, ts: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
     """sum_j c_j exp(-i E_j t + i p_j x) on the outer grid (len(ts), len(xs)),
-    over `state.window` only, with one c_j per window site in `coeffs`: GEMM
-    rows (t, x anchor) times x-offset columns, each term within about 1.6e-15
-    of its phase factor at t and x moved by a few ulps (module docstring)."""
+    over `state.window` only, with one c_j per window site in `coeffs` (or
+    per site of `state.spectrum`, 0 past the window): GEMM rows (t, x anchor)
+    times x-offset columns, each term within about 1.6e-15 of its phase
+    factor at t and x moved by a few ulps (module docstring)."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     out = np.zeros((ts.size, xs.size), dtype=complex)
@@ -416,39 +445,56 @@ def _synthesize(
     n = win.stop - win.start
     if n == 0 or out.size == 0:
         return out
-    th = state.thetas[win]
-    e, p = state.mass * np.cosh(th), state.mass * np.sinh(th)
+    e, p, _ = state.spectrum
     if out.size == 1:  # one fused exponential per site, summed in unpadded dot
         # products of at most 4096 terms, which OpenBLAS adds on one thread
-        terms = np.exp(1j * (xs[0] * p - ts[0] * e)) * coeffs
+        terms = np.exp(1j * (xs[0] * p[:n] - ts[0] * e[:n])) * coeffs[:n]
         ones = np.ones(min(n, 4096), dtype=complex)
-        dots = [c @ ones[: c.size] for c in np.split(terms, range(4096, n, 4096))]
-        out[0, 0] = sum(dots[1:], dots[0])
+        total = terms[:4096] @ ones
+        for i in range(4096, n, 4096):
+            chunk = terms[i : i + 4096]
+            total = total + chunk @ ones[: chunk.size]
+        out[0, 0] = total
         return out
     # zero sites pad the sum to a multiple of 8 terms, which every BLAS kernel
     # adds in one order at any thread count
-    size = -(-n // 8) * 8
-    e, p, c = (np.concatenate((v, np.zeros(size - n))) for v in (e, p, coeffs))
+    size = e.size
+    c = coeffs if coeffs.size == size else np.concatenate((coeffs, np.zeros(size - n)))
     half = max(1, _BLOCK_ENTRIES // (2 * size))  # columns in half a tile
     # every x anchor adds a row per t while offsets are shared columns, so
     # about sqrt(N_t N_x) columns balance the two
     split = _split(xs, _even(xs.size, min(_ceil_sqrt(ts.size * xs.size), half)))
     if split is not None:
-        _panel(out, e, p, c, ts, *split)
+        _panel(out, e, p, c, ts, *split, split[1].size)
         return out
+    # column panels of one width share their row tiles, so up to a block of
+    # their columns is built at once and each tile of rows once per block
     width = _even(xs.size, half)
-    for i in range(0, xs.size, width):
-        _panel(out[:, i : i + width], e, p, c, ts, np.zeros(1), xs[i : i + width])
+    full = xs.size - xs.size % width
+    group = width * max(1, _BLOCK_ENTRIES // (width * size))
+    for i in range(0, full, group):
+        j = min(i + group, full)
+        _panel(out[:, i:j], e, p, c, ts, np.zeros(1), xs[i:j], width)
+    if full < xs.size:
+        _panel(out[:, full:], e, p, c, ts, np.zeros(1), xs[full:], xs.size - full)
     return out
 
 
-def _panel(out, e, p, c, ts, anchors, offsets) -> None:
-    """out[t, a*B + b] = sum_j c_j exp(-i E_j t + i p_j (anchors[a] + offsets[b]))
-    in tiles of at most half a block: GEMM rows (t, a) times B columns b."""
-    size, width = e.size, offsets.size
-    o_hi, o_lo = _split(offsets, _ceil_sqrt(width)) or (offsets, np.zeros(1))
+def _columns(offsets: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """exp(i p_j offsets[b]) as a (sites, len(offsets)) matrix, from hi and lo
+    tables when the offsets are a progression."""
+    o_hi, o_lo = _split(offsets, _ceil_sqrt(offsets.size)) or (offsets, np.zeros(1))
     columns = np.exp(1j * np.outer(o_hi, p))[:, None] * np.exp(1j * np.outer(o_lo, p))
-    columns = columns.reshape(-1, size)[:width].T
+    return columns.reshape(-1, p.size)[: offsets.size].T
+
+
+def _panel(out, e, p, c, ts, anchors, offsets, width) -> None:
+    """out[t, a*B + b] = sum_j c_j exp(-i E_j t + i p_j (anchors[a] + offsets[b]))
+    in tiles of at most half a block: GEMM rows (t, a) times panels of `width`
+    offset columns b, each built once (several anchors need one panel, B =
+    width)."""
+    size = e.size
+    panels = [_columns(offsets[k : k + width], p) for k in range(0, offsets.size, width)]
     cap = max(1, _BLOCK_ENTRIES // (2 * (size + width)))  # rows in half a tile
     t_hi, t_lo = _split(ts, min(_ceil_sqrt(ts.size), cap)) or (ts, np.zeros(1))
     sa = min(_ceil_sqrt(anchors.size), cap // t_lo.size)
@@ -463,11 +509,14 @@ def _panel(out, e, p, c, ts, anchors, offsets) -> None:
             # one fused exponential per pair of hi values and site, and one
             # product with lo_t c lo_x per row entry
             hi = 1j * (x_hi[j : j + ga, None] * p - t_hi[i : i + gt, None, None] * e)
+            na = hi.shape[1] * sa  # anchors in the tile
             rows = (np.exp(hi, out=hi)[:, None, :, None] * lo[:, None]).reshape(-1, size)
-            tile = rows[: (t1 - t0) * hi.shape[1] * sa] @ columns
-            dest = out[t0:t1, j * sa * width : (j + hi.shape[1]) * sa * width]
-            dest[...] = tile.reshape(t1 - t0, -1)[:, : dest.shape[1]]
-            del hi, rows  # before the next tile's are built
+            del hi  # before the tiles are built
+            for k, columns in enumerate(panels):
+                tile = rows[: (t1 - t0) * na] @ columns
+                dest = out[t0:t1, (j * sa + k) * width : (j * sa + k + na) * width]
+                dest[...] = tile.reshape(t1 - t0, -1)[:, : dest.shape[1]]
+            del rows  # before the next tile's are built
 
 
 def wavefunction(
@@ -475,17 +524,14 @@ def wavefunction(
 ) -> complex:
     """psi(t, x) = sum_j w_j exp(-i E_j t + i p_j x) a_j."""
     t, x = point
-    win = state.window
-    coeffs = state.weights[win] * state.amplitudes[win]
-    return complex(_synthesize(state, coeffs, [t], [x])[0, 0])
+    return complex(_synthesize(state, state.spectrum[2], [t], [x])[0, 0])
 
 
 def wavefunction_grid(
     state: RapidityState, ts: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
     """psi on the outer grid (len(ts), len(xs))."""
-    win = state.window
-    return _synthesize(state, state.weights[win] * state.amplitudes[win], ts, xs)
+    return _synthesize(state, state.spectrum[2], ts, xs)
 
 
 def slice_profile(state: RapidityState, t0: float, xs: np.ndarray) -> np.ndarray:
@@ -498,7 +544,7 @@ def slice_profile(state: RapidityState, t0: float, xs: np.ndarray) -> np.ndarray
     """
     # dp/2pi = E dtheta/2pi = E w/pi, since dtheta = 2 w
     win = state.window
-    e = state.mass * np.cosh(state.thetas[win])
+    e = state.spectrum[0][: win.stop - win.start]
     coeffs = e * state.weights[win] * state.amplitudes[win] / math.pi
     return _synthesize(state, coeffs, [t0], xs)[0]
 
@@ -664,7 +710,8 @@ def boost_state(state: RapidityState, alpha: float) -> RapidityState:
     origin_lo), so boosts by alpha and -alpha restore it bit for bit; the
     validated, read-only amplitudes and any cached `window` are shared
     unchanged, so the boost is O(1), exact at every rapidity and drops
-    nothing.
+    nothing.  A cached `spectrum` is not carried over: its E and p belong to
+    the old origin.
     """
     if not math.isfinite(alpha):
         raise ValueError("boost rapidity must be finite")
@@ -673,6 +720,7 @@ def boost_state(state: RapidityState, alpha: float) -> RapidityState:
         raise ValueError("rapidity origin must be finite")
     boosted = object.__new__(type(state))
     boosted.__dict__.update(vars(state), origin=origin, origin_lo=lo)
+    boosted.__dict__.pop("spectrum", None)  # its E and p are the old origin's
     return boosted
 
 
@@ -808,7 +856,7 @@ def kg_equation_residual(
     e = ld(state.mass) * np.cosh(state.thetas[win].astype(ld))
     stencil = _FD8[4] + 2 * (_FD8[5:] @ np.cos(np.outer(np.arange(1, 5) * delta, e)))
     h = (e * e + stencil / (5040 * delta**2)).astype(float)
-    coeffs = state.weights[win] * state.amplitudes[win] * h
+    coeffs = state.spectrum[2][: win.stop - win.start] * h
     worst = 0.0
     for pt in points:
         t, x = pt

@@ -261,6 +261,25 @@ def test_heatmap_renders_layers_and_ridges():
     assert "stroke-dasharray" in svg  # ridge overlay
 
 
+@pytest.mark.parametrize(
+    "xs, ts, extent",
+    [
+        (np.linspace(-1.0, 1.0, 5), np.array([2.5]), 'height="342.000"'),
+        (np.array([0.4]), np.linspace(0.0, 1.0, 3), 'width="560.000"'),
+    ],
+    ids=["1xN", "Nx1"],
+)
+def test_heatmap_draws_a_single_value_axis(xs, ts, extent):
+    # one value is padded as a constant series is, and its cells span the
+    # panel along that axis: the frame is 560 x 342 pixels
+    svg = plots.support_heatmap(xs, ts, [("layer", np.ones((ts.size, xs.size)))])
+    cells = [line for line in svg.splitlines() if "fill-opacity" in line]
+    assert len(cells) == xs.size * ts.size
+    assert all(extent in cell for cell in cells)
+    with pytest.raises(ValueError, match="heatmap axis ts"):
+        plots.support_heatmap(xs, np.array([np.nan]), [("layer", np.ones((1, xs.size)))])
+
+
 # ---------------------------------------------------------------------------
 # CLI: run
 

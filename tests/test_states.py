@@ -138,6 +138,37 @@ def test_gaussian2d_against_quadrature(grid):
         assert abs(s.amplitudes[j] - it * ix) < 1e-10 * max(1.0, abs(it * ix))
 
 
+def _full_transform(f, e, p):
+    """Gaussian2D.transform with the exponential evaluated at every site."""
+    amp = 4.0 * math.pi * f.sigma_t * f.sigma_x
+    return amp * np.exp(
+        1j * (e * f.t0 - p * f.x0)
+        - f.sigma_t**2 * (e - f.energy) ** 2
+        - f.sigma_x**2 * (p - f.momentum) ** 2
+    )
+
+
+_WIDTHS = st.floats(-3.0, 2.0).map(lambda v: 10.0**v)  # narrow to wide
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t0=st.floats(-10.0, 10.0),
+    x0=st.floats(-10.0, 10.0),
+    sigma_t=_WIDTHS,
+    sigma_x=_WIDTHS,
+    energy=st.floats(-100.0, 100.0),  # far off shell at either sign
+    momentum=st.floats(-100.0, 100.0),
+    mass=st.floats(0.1, 5.0),
+)
+def test_gaussian2d_transform_skips_only_underflowing_sites(
+    grid, t0, x0, sigma_t, sigma_x, energy, momentum, mass
+):
+    f = Gaussian2D(t0, x0, sigma_t, sigma_x, energy, momentum)
+    e, p = mass * np.cosh(grid.thetas), mass * np.sinh(grid.thetas)
+    assert np.array_equal(f.transform(e, p), _full_transform(f, e, p))
+
+
 def test_tilted_slice_against_quadrature(grid):
     prof = GaussianProfile(0.3, 0.9)
     f = TiltedSlice(0.2, -0.4, prof)
@@ -376,6 +407,73 @@ def test_wavefunction_grid_working_memory_is_two_tiles(grid):
         finally:
             tracemalloc.stop()
         assert peak - table.nbytes <= 2 * states._BLOCK_ENTRIES * 16
+
+
+def _synthesis_bits(state, seed):
+    """Bytes of every kind of spectral sum on the state, at seeded points."""
+    rng = np.random.default_rng(seed)
+    points = [SpacetimePoint(t, x) for t, x in rng.uniform(-5.0, 5.0, size=(4, 2))]
+    values = [
+        *[wavefunction(state, pt) for pt in points],
+        wavefunction_grid(state, np.linspace(-1.0, 2.0, 9), np.linspace(-3.0, 3.0, 40)),
+        wavefunction_grid(state, rng.uniform(-5.0, 5.0, 7), rng.uniform(-5.0, 5.0, 30)),
+        slice_profile(state, 0.3, np.linspace(-4.0, 4.0, 50)),
+        kg_equation_residual(state, points),
+    ]
+    return [np.asarray(v).tobytes() for v in values]
+
+
+def _windowed_states():
+    """Random states with windows of 10-4096 sites on the default grid, at
+    origin 0 and off the lattice, and one window of 6000 sites on a finer grid."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for k, n in enumerate([10, 57, 600, 2049, 4096]):
+        grid = RapidityGrid.default()
+        a = np.zeros(grid.count, dtype=complex)
+        start = int(rng.integers(0, grid.count - n + 1))
+        a[start : start + n] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        origin = 0.0 if k % 2 else float(rng.uniform(-0.5, 0.5))
+        cases.append((grid, float(rng.uniform(0.5, 2.0)), a, origin))
+    fine = RapidityGrid.symmetric(10.0, 20001)
+    a = np.zeros(fine.count, dtype=complex)
+    a[7000:13000] = rng.normal(size=6000) + 1j * rng.normal(size=6000)
+    cases.append((fine, 1.3, a, 0.37 * fine.step))
+    return cases
+
+
+def test_cached_spectrum_changes_no_bits():
+    for grid, mass, a, origin in _windowed_states():
+        cold = _synthesis_bits(RapidityState(grid, mass, a, origin=origin), 1)
+        warm = RapidityState(grid, mass, a, origin=origin)
+        _synthesis_bits(warm, 2)
+        assert _synthesis_bits(warm, 1) == cold
+        # a boost drops the old origin's E and p: a warm state boosted by a
+        # lattice and an off-lattice rapidity sums as a cold one at its origin
+        for alpha in (3 * grid.step, 0.123):
+            moved = boost_state(warm, alpha)
+            fresh = RapidityState(grid, mass, a, origin=moved.origin, origin_lo=moved.origin_lo)
+            assert _synthesis_bits(moved, 3) == _synthesis_bits(fresh, 3)
+
+
+def test_window_spectrum_is_computed_once_per_state(grid, monkeypatch):
+    # a cost guard that needs no timing: 121 scalar wavefunctions take the
+    # window's cosh and sinh once, and a boosted copy once more
+    s = _random_packet(np.random.default_rng(8), grid)
+    calls = {"cosh": 0, "sinh": 0}
+    for name in calls:
+
+        def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    points = np.random.default_rng(9).uniform(-2.0, 2.0, size=(121, 2))
+    for expect in (1, 2):
+        for t, x in points:
+            wavefunction(s, (t, x))
+        assert calls == {"cosh": expect, "sinh": expect}
+        s = boost_state(s, 0.4)
 
 
 # ---------------------------------------------------------------------------
