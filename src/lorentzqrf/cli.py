@@ -24,6 +24,7 @@ a value the scenario cannot run with, unwritable output directory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -412,7 +413,10 @@ def _cmd_selftest(args) -> int:
     return 0 if all(res.passed for res in results) else 2
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; each parse_args call
+    starts from a fresh namespace, so no value carries over between runs."""
     parser = argparse.ArgumentParser(
         prog="lorentzqrf",
         description="relativistic wave-packet and reference-frame scenarios",
@@ -436,8 +440,11 @@ def main(argv: list[str] | None = None) -> int:
     self_p = sub.add_parser("selftest", help="run the acceptance suite")
     self_p.add_argument("--out", default=".", help="output directory")
     self_p.set_defaults(func=_cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -737,7 +737,11 @@ class BoostSuperpositionScenario:
 
 
 def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
-    """Rapidity-space peaks of each boosted component of the superposition."""
+    """Rapidity-space peaks of each boosted component of the superposition.
+
+    `grids` hold the densities on the sites of the branches' support
+    windows only (`RapidityState.window`: |a| > 1e-16 max|a|).
+    """
     grid = scn.grid or RapidityGrid.default()
     rest = from_spacetime_function(
         Slice(0.0, GaussianProfile(0.0, scn.sigma)), scn.mass, grid
@@ -747,6 +751,7 @@ def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
     total = np.zeros(grid.count, dtype=complex)
     densities = {}
     warnings = []
+    lo, hi = grid.count, 0  # the union of the branches' nonempty windows
     for omega in scn.omegas:
         comp = boost_state(rest, -omega)
         on_grid = resample(comp)  # the sum and densities share the grid's thetas
@@ -756,17 +761,21 @@ def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
             f"omega={omega:g}", omega, scn.tolerance, "wave-packet",
             peak=(omega, peak), velocity=(math.tanh(omega), math.tanh(peak)),
         )
-        densities[f"omega={omega:g}"] = momentum_density(on_grid).tolist()
+        densities[f"omega={omega:g}"] = momentum_density(on_grid)
         warnings.extend(f"branch omega={omega:g}: {note}" for note in on_grid.notes)
+        win = on_grid.window
+        if win.stop > win.start:  # an empty window sits at index 0
+            lo, hi = min(lo, win.start), max(hi, win.stop)
+    keep = slice(lo, hi)  # empty when every branch left the grid
     return ScenarioReport(
         scenario="superposition-of-boosts",
         branches=tuple(checks),
         warnings=tuple(warnings),
         details={"sigma": scn.sigma, "mass": scn.mass},
         grids={
-            "theta": grid.thetas.tolist(),
-            "density_total": (np.abs(total) ** 2 / 2.0).tolist(),
-            "density_branches": densities,
+            "theta": grid.thetas[keep].tolist(),
+            "density_total": (np.abs(total[keep]) ** 2 / 2.0).tolist(),
+            "density_branches": {k: d[keep].tolist() for k, d in densities.items()},
         },
     )
 

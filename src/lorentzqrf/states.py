@@ -223,6 +223,13 @@ class Gaussian2D:
     def __post_init__(self) -> None:
         if self.sigma_t <= 0.0 or self.sigma_x <= 0.0:
             raise ValueError("gaussian widths must be positive")
+        limit = math.sqrt(sys.float_info.max)
+        for name in ("sigma_t", "sigma_x"):
+            if getattr(self, name) > limit:
+                raise ValueError(
+                    f"{name} must be at most {limit:.4g}, where {name}**2 "
+                    f"still fits a float, got {getattr(self, name)!r}"
+                )
 
     def transform(self, e: np.ndarray, p: np.ndarray) -> np.ndarray:
         """integral dt dx exp(i e t - i p x) f(t, x), for 1-d arrays e and p."""
@@ -761,7 +768,8 @@ def resample(state: RapidityState) -> RapidityState:
     (t, x); the fit only smooths the envelope, so the error does not grow
     with the offset.  Samples beyond the window or the grid read 0, and
     sites the filter does not reach are 0.  Amplitudes falling off the grid
-    are dropped, with a note when the support ends within 5% of its boundary.
+    are dropped, with a note when the support ends within 5% of its boundary
+    or lies wholly beyond it.
     """
     if state.origin == 0.0:
         return state
@@ -792,7 +800,10 @@ def resample(state: RapidityState) -> RapidityState:
     mag = np.abs(new)
     sig = np.flatnonzero(mag > _SUPPORT_CUT * np.max(mag))
     margin = 0.05 * (grid.theta_max - grid.theta_min)
-    if sig.size and (th[sig[0]] < th[0] + margin or th[sig[-1]] > th[-1] - margin):
+    if not sig.size:
+        if np.any(a):
+            notes += ("boosted support lies entirely off the grid; all amplitude dropped",)
+    elif th[sig[0]] < th[0] + margin or th[sig[-1]] > th[-1] - margin:
         notes += ("boosted support within 5% of the grid boundary; amplitudes may be truncated",)
     return replace(state, amplitudes=new, origin=0.0, origin_lo=0.0, notes=notes)
 

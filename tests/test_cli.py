@@ -878,6 +878,40 @@ def test_run_boosts_scalar_omega_coerced(tmp_path):
     assert len(payload["branches"]) == 2  # peak + velocity checks of one branch
 
 
+def test_run_boosts_off_the_grid_draws_the_blank_chart(tmp_path, capsys):
+    argv = ["run", "--scenario", "superposition-of-boosts", "--set", "omegas=[30,-40]"]
+    assert cli.main([*argv, "--out", str(tmp_path), "--plot", "svg", "--csv"]) == 0
+    grids = json.loads(_read_report(tmp_path / "report.json"))["grids"]
+    assert grids["theta"] == grids["density_total"] == []
+    assert grids["density_branches"] == {"omega=30": [], "omega=-40": []}
+    blank = plots.line_chart(
+        [],
+        title="superposition of boosts: momentum density",
+        xlabel="rapidity",
+        ylabel="|a|^2/2",
+    )
+    assert (tmp_path / "plot.svg").read_text(encoding="utf-8") == blank
+    out = capsys.readouterr().out
+    for omega in (30, -40):
+        assert f"[warn] branch omega={omega}: boosted support lies entirely off" in out
+
+
+def test_successive_runs_share_no_options(tmp_path):
+    """The parser is built once per process; no run sees an earlier run's
+    --set, --csv or --plot."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["run", "--scenario", "width-contraction"]
+    extra = ["--set", "sigma=3", "--csv", "--plot", "svg"]
+    assert cli.main([*argv, *extra, "--out", str(first)]) == 0
+    assert json.loads(_read_report(first / "report.json"))["config"]["sigma"] == 3.0
+    assert (first / "table.csv").exists() and (first / "plot.svg").exists()
+    assert cli.main([*argv, "--out", str(second)]) == 0
+    config = json.loads(_read_report(second / "report.json"))["config"]
+    assert config == DOCUMENTED_DEFAULTS["width-contraction"]
+    assert sorted(os.listdir(second)) == ["report.json"]
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize(
     "scenario, setting, code, warning",
     [

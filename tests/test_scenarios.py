@@ -36,6 +36,7 @@ from lorentzqrf.states import (
     Slice,
     boost_state,
     from_spacetime_function,
+    resample,
 )
 
 
@@ -469,6 +470,33 @@ def test_boost_superposition_grids_shape():
     th = np.asarray(theta)
     top = th[np.argsort(total)[-40:]]
     assert np.any(np.abs(top + 0.35) < 0.2) and np.any(np.abs(top - 0.6) < 0.2)
+
+
+@pytest.mark.parametrize(
+    "omegas", [(-0.35, 0.6), (0.0, 30.0), (9.5,), (-9.8, 0.2)], ids=str
+)
+def test_boost_superposition_grids_keep_the_branch_windows(omegas):
+    """The grids run over the union of the branches' nonempty windows, the
+    sites with |a| > 1e-16 max|a|; every site dropped is below that cut."""
+    scn = BoostSuperpositionScenario(omegas=omegas)
+    rep = run_boost_superposition(scn)
+    grid = RapidityGrid.default()
+    rest = from_spacetime_function(
+        Slice(0.0, GaussianProfile(0.0, scn.sigma)), scn.mass, grid
+    )
+    branches = [np.abs(resample(boost_state(rest, -om)).amplitudes) for om in omegas]
+    sites = [np.flatnonzero(a > 1e-16 * np.max(a)) for a in branches if np.any(a)]
+    lo, hi = min(i[0] for i in sites), max(i[-1] for i in sites) + 1
+    assert rep.grids["theta"] == grid.thetas[lo:hi].tolist()
+    lengths = {len(rep.grids["density_total"])}
+    lengths |= {len(d) for d in rep.grids["density_branches"].values()}
+    assert lengths == {hi - lo}
+    for a in branches:
+        dropped = np.concatenate([a[:lo], a[hi:]])
+        assert np.all(dropped <= 1e-16 * np.max(a))
+    off = [w for w in rep.warnings if "entirely off the grid" in w]
+    note = "boosted support lies entirely off the grid; all amplitude dropped"
+    assert off == ([f"branch omega=30: {note}"] if 30.0 in omegas else [])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ Frozen regression constants below were computed from those oracles.
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,14 @@ def test_gaussian2d_transform_skips_only_underflowing_sites(
     f = Gaussian2D(t0, x0, sigma_t, sigma_x, energy, momentum)
     e, p = mass * np.cosh(grid.thetas), mass * np.sinh(grid.thetas)
     assert np.array_equal(f.transform(e, p), _full_transform(f, e, p))
+
+
+@pytest.mark.parametrize("field", ["sigma_t", "sigma_x"])
+def test_gaussian2d_rejects_a_width_whose_square_overflows(grid, field):
+    limit = math.sqrt(sys.float_info.max)
+    Gaussian2D(**{field: limit})  # the largest width still squares
+    with pytest.raises(ValueError, match=f"^{field} must be at most 1.341e\\+154, "):
+        from_spacetime_function(Gaussian2D(**{field: 2e154}), 1.0, grid)
 
 
 def test_tilted_slice_against_quadrature(grid):
@@ -709,6 +718,22 @@ def test_cross_origin_overlap_error_is_flat_in_the_offset(grid, t0, x0):
         moved = resample(boost_state(edge, beta))
         assert np.all(np.isfinite(moved.amplitudes.view(float)))
         assert moved.notes[:-1] == edge.notes and "boundary" in moved.notes[-1]
+
+
+@pytest.mark.parametrize("steps", [6200.0, -5000.0, 3000.37, -6142.5])
+def test_resample_notes_a_branch_boosted_off_the_grid(grid, steps):
+    """A boost that carries the whole support past the grid edge leaves a
+    zero state, with a note saying so, on and off the lattice."""
+    alpha = steps * grid.step
+    s = from_spacetime_function(Slice(0.0, GaussianProfile(0.0, 2.5)), 1.0, grid)
+    moved = resample(boost_state(s, alpha))
+    assert not np.any(moved.amplitudes)
+    assert moved.notes == (
+        "boosted support lies entirely off the grid; all amplitude dropped",
+    )
+    # a zero state loses nothing, so it gets no note
+    zero = RapidityState(grid, 1.0, np.zeros(grid.count), origin=alpha)
+    assert resample(zero).notes == ()
 
 
 def test_boosted_slice_is_tilted_slice(grid):
