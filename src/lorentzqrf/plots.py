@@ -238,11 +238,12 @@ def event_chart(
 
 
 def _cell_axis(v: np.ndarray, name: str) -> tuple[tuple[float, float], float]:
-    """Panel range and half cell width of a heatmap axis: its ends and half
-    its first step, or for one value the range `_finite_range` gives a
-    constant series, which the one cell fills."""
+    """Panel range and half cell width of a heatmap axis: its (min, max) and
+    half its first step's size, so a descending axis draws as its ascending
+    mirror, or for one value the range `_finite_range` gives a constant
+    series, which the one cell fills."""
     if v.size > 1:
-        return (float(v[0]), float(v[-1])), 0.5 * (v[1] - v[0])
+        return (float(np.min(v)), float(np.max(v))), 0.5 * abs(v[1] - v[0])
     span = _finite_range(v)
     if span is None:
         raise ValueError(f"heatmap axis {name} holds no finite value")

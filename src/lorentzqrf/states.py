@@ -35,28 +35,34 @@ progression (np.linspace axes are) is split as x[a*B + b] = X_a + b*dx with
 B about sqrt(N_t N_x): GEMM rows are the pairs (t, X_a) and columns the
 offsets b.  Any other x axis is columns, one per point, in panels of one
 width that are built up to a block at a time, so each tile of rows is built
-once per block of columns.  Every factor comes from small exponential
-tables: a progression v of N values gives exp(i k v_a) = hi[a // s] lo[a % s]
+once per block of columns.  Every factor comes from small tables of phase
+factors: a progression v of N values gives exp(i k v_a) = hi[a // s] lo[a % s]
 from s = ceil(sqrt(N)) rows of each, for the t points, the x anchors and the
-x offsets, and a row entry is one fused exponential exp(i (p X_hi - E T_hi))
+x offsets, and a row entry is one fused phase factor exp(i (p X_hi - E T_hi))
 per pair of hi values times lo_t c lo_x, one product per entry; a t axis or
-anchor set that is no progression takes one exponential per point.  A 1xN
-line then costs about 4 N^(1/4) n complex exponentials (50 n for N = 20001,
+anchor set that is no progression takes one phase factor per point.  A 1xN
+line then costs about 4 N^(1/4) n phase factors (50 n for N = 20001,
 against N n for the direct sum), a 72x72 patch about 35 n and a single point
-n, with the N_t N_x n multiply-adds in the GEMM.  Each split moves a point
-by at most 4 ulps of its axis's largest |value| (a point of x passes three:
-its own, its anchor's, its offset's), so the phase errs by
+n, with the N_t N_x n multiply-adds in the GEMM.  Each phase factor is one
+`_cis`, exp(i phi) from the half-angle tangent u = tan(phi/2): numpy's float
+tan is vectorized (about 2 ns per element on an AVX-512 Xeon), where its
+complex exp (29-55 ns) and float sin and cos (12-29 ns each) are scalar libm
+calls, so a factor costs 6-9 ns against 30-75 ns for np.exp(1j * phi); on a
+CPU without a vectorized tan the factors are as accurate, only slower.  Each
+split moves a point by at most 4 ulps of its axis's largest |value| (a point
+of x passes three: its own, its anchor's, its offset's), so the phase errs by
 O(|E| ulp(max|t|) + |p| ulp(max|x|)), the order at which the direct sum
-already rounds p*x; the at most 5 exponentials and 4 complex products per
-term add about 14 u = 1.6e-15 relative (u = 2^-53).  Zero sites pad the sum
-to a multiple of 8 (a single point is summed in dot products of at most 4096
-terms instead), so it keeps its bits across the thread counts of one BLAS.
-Each tile of rows with its result holds at most half of a 2^19-entry block
-(8 MiB complex) and the columns at most one block, so working memory stays
-within two blocks however many points are requested.  The equation-of-motion
-residual samples its stencil at the exact times, folds it into one
-long-double factor per window site once per call and sums each probe through
-the single-point path.
+already rounds p*x; the at most 5 phase factors, each within 4.2e-16 = 3.8 u
+of exp(i phi) (u = 2^-53, measured against long double over |phi| <= 1e9),
+and 4 complex products (sqrt(5) u each) per term add about 28 u = 3.1e-15
+relative.  Zero sites pad the sum to a multiple of 8 (a single point's
+factors are dotted with c in chunks of at most 4096 terms instead), so it
+keeps its bits across the thread counts of one BLAS.  Each tile of rows with
+its result holds at most half of a 2^19-entry block (8 MiB complex) and the
+columns at most one block, so working memory stays within two blocks however
+many points are requested.  The equation-of-motion residual samples its
+stencil at the exact times, folds it into one long-double factor per window
+site once per call and sums each probe through the single-point path.
 
 A state sits at theta_j = grid.thetas[j] + origin.  A boost by alpha only
 moves the origin by -alpha (a'(theta) = a(theta + alpha), support moved by
@@ -437,14 +443,50 @@ def _even(n: int, most: int) -> int:
     return -(-n // -(-n // most))
 
 
+def _cis(phase) -> np.ndarray:
+    """exp(i phase) for a real array: with u = tan(phase/2), cos =
+    2/(1 + u^2) - 1 and sin = u * 2/(1 + u^2) are written into the result's
+    real and imaginary parts (why a tangent: module docstring).  Each part is
+    within 4e-16 of the exact value, 0 gives exactly 1 + 0j (-0 keeps a -0
+    sine), +-inf and nan give nan, and the bits do not depend on the input's
+    layout or length."""
+    u = np.multiply(phase, 0.5, out=np.empty(np.shape(phase)))
+    np.tan(u, out=u)
+    out = np.empty(u.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.multiply(u, u, out=re)
+    np.add(re, 1.0, out=re)
+    np.divide(2.0, re, out=re)
+    np.multiply(u, re, out=im)
+    np.subtract(re, 1.0, out=re)
+    return out
+
+
+def _point(state: RapidityState, coeffs: np.ndarray, t: float, x: float) -> complex:
+    """sum_j c_j exp(-i E_j t + i p_j x) at one point, over `state.window`:
+    one phase factor per site, dotted with c in unpadded dot products of at
+    most 4096 terms, which OpenBLAS adds on one thread."""
+    win = state.window
+    n = win.stop - win.start
+    if n == 0:
+        return 0j
+    e, p, _ = state.spectrum
+    factors, c = _cis(x * p[:n] - t * e[:n]), coeffs[:n]
+    total = factors[:4096] @ c[:4096]
+    for i in range(4096, n, 4096):
+        total = total + factors[i : i + 4096] @ c[i : i + 4096]
+    return complex(total)
+
+
 def _synthesize(
     state: RapidityState, coeffs: np.ndarray, ts: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
     """sum_j c_j exp(-i E_j t + i p_j x) on the outer grid (len(ts), len(xs)),
     over `state.window` only, with one c_j per window site in `coeffs` (or
     per site of `state.spectrum`, 0 past the window): GEMM rows (t, x anchor)
-    times x-offset columns, each term within about 1.6e-15 of its phase
-    factor at t and x moved by a few ulps (module docstring)."""
+    times x-offset columns, each term within about 3.1e-15 of its phase
+    factor at t and x moved by a few ulps: at most 5 `_cis` factors of
+    4.2e-16 each and 4 complex products (module docstring)."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     out = np.zeros((ts.size, xs.size), dtype=complex)
@@ -452,17 +494,10 @@ def _synthesize(
     n = win.stop - win.start
     if n == 0 or out.size == 0:
         return out
-    e, p, _ = state.spectrum
-    if out.size == 1:  # one fused exponential per site, summed in unpadded dot
-        # products of at most 4096 terms, which OpenBLAS adds on one thread
-        terms = np.exp(1j * (xs[0] * p[:n] - ts[0] * e[:n])) * coeffs[:n]
-        ones = np.ones(min(n, 4096), dtype=complex)
-        total = terms[:4096] @ ones
-        for i in range(4096, n, 4096):
-            chunk = terms[i : i + 4096]
-            total = total + chunk @ ones[: chunk.size]
-        out[0, 0] = total
+    if out.size == 1:
+        out[0, 0] = _point(state, coeffs, ts[0], xs[0])
         return out
+    e, p, _ = state.spectrum
     # zero sites pad the sum to a multiple of 8 terms, which every BLAS kernel
     # adds in one order at any thread count
     size = e.size
@@ -491,7 +526,7 @@ def _columns(offsets: np.ndarray, p: np.ndarray) -> np.ndarray:
     """exp(i p_j offsets[b]) as a (sites, len(offsets)) matrix, from hi and lo
     tables when the offsets are a progression."""
     o_hi, o_lo = _split(offsets, _ceil_sqrt(offsets.size)) or (offsets, np.zeros(1))
-    columns = np.exp(1j * np.outer(o_hi, p))[:, None] * np.exp(1j * np.outer(o_lo, p))
+    columns = _cis(np.outer(o_hi, p))[:, None] * _cis(np.outer(o_lo, p))
     return columns.reshape(-1, p.size)[: offsets.size].T
 
 
@@ -506,18 +541,18 @@ def _panel(out, e, p, c, ts, anchors, offsets, width) -> None:
     t_hi, t_lo = _split(ts, min(_ceil_sqrt(ts.size), cap)) or (ts, np.zeros(1))
     sa = min(_ceil_sqrt(anchors.size), cap // t_lo.size)
     x_hi, x_lo = _split(anchors, sa) or (anchors, np.zeros(1))
-    lo = (np.exp(-1j * np.outer(t_lo, e)) * c)[:, None] * np.exp(1j * np.outer(x_lo, p))
+    lo = (_cis(np.outer(-t_lo, e)) * c)[:, None] * _cis(np.outer(x_lo, p))
     st, sa = lo.shape[:2]
     ga = min(x_hi.size, max(1, cap // (st * sa)))  # hi anchors in a tile
     gt = max(1, cap // (st * sa * ga))  # hi t values in a tile
     for i in range(0, t_hi.size, gt):
         t0, t1 = i * st, min((i + gt) * st, ts.size)
         for j in range(0, x_hi.size, ga):
-            # one fused exponential per pair of hi values and site, and one
+            # one fused phase factor per pair of hi values and site, and one
             # product with lo_t c lo_x per row entry
-            hi = 1j * (x_hi[j : j + ga, None] * p - t_hi[i : i + gt, None, None] * e)
+            hi = _cis(x_hi[j : j + ga, None] * p - t_hi[i : i + gt, None, None] * e)
             na = hi.shape[1] * sa  # anchors in the tile
-            rows = (np.exp(hi, out=hi)[:, None, :, None] * lo[:, None]).reshape(-1, size)
+            rows = (hi[:, None, :, None] * lo[:, None]).reshape(-1, size)
             del hi  # before the tiles are built
             for k, columns in enumerate(panels):
                 tile = rows[: (t1 - t0) * na] @ columns
@@ -531,7 +566,7 @@ def wavefunction(
 ) -> complex:
     """psi(t, x) = sum_j w_j exp(-i E_j t + i p_j x) a_j."""
     t, x = point
-    return complex(_synthesize(state, state.spectrum[2], [t], [x])[0, 0])
+    return _point(state, state.spectrum[2], float(t), float(x))
 
 
 def wavefunction_grid(
@@ -873,7 +908,7 @@ def kg_equation_residual(
         t, x = pt
         if not (math.isfinite(t) and math.isfinite(x)):
             raise ValueError(f"probe point {pt!r} is not finite")
-        value = abs(_synthesize(state, coeffs, [t], [x])[0, 0])
+        value = abs(_point(state, coeffs, float(t), float(x)))
         if not math.isfinite(value):
             raise ValueError(f"residual at probe point {pt!r} is not finite")
         worst = max(worst, value)

@@ -280,6 +280,22 @@ def test_heatmap_draws_a_single_value_axis(xs, ts, extent):
         plots.support_heatmap(xs, np.array([np.nan]), [("layer", np.ones((1, xs.size)))])
 
 
+def test_heatmap_draws_a_descending_axis_as_its_ascending_mirror():
+    xs = np.linspace(-2.0, 2.0, 9)
+    ts = np.linspace(0.0, 1.5, 7)
+    z = np.exp(-(ts[:, None] ** 2) - xs[None, :] ** 2)
+
+    def cells(xs, ts, z):
+        svg = plots.support_heatmap(xs, ts, [("layer", z)])
+        return sorted(line for line in svg.splitlines() if "fill-opacity" in line)
+
+    ascending = cells(xs, ts, z)
+    assert len(ascending) == xs.size * ts.size
+    assert cells(xs[::-1], ts, z[:, ::-1]) == ascending
+    assert cells(xs, ts[::-1], z[::-1]) == ascending
+    assert cells(xs[::-1], ts[::-1], z[::-1, ::-1]) == ascending
+
+
 # ---------------------------------------------------------------------------
 # CLI: run
 

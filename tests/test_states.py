@@ -485,6 +485,81 @@ def test_window_spectrum_is_computed_once_per_state(grid, monkeypatch):
         s = boost_state(s, 0.4)
 
 
+def test_synthesis_takes_no_complex_exponential(grid, monkeypatch):
+    # every phase factor of a spectral sum comes from states._cis: scalar,
+    # gridded (evenly spaced and random axes), slice-profile and residual
+    # sums call np.exp on no complex array
+    s = _random_packet(np.random.default_rng(10), grid)
+    complex_calls = []
+
+    def counted(x, *args, _fn=np.exp, **kwargs):
+        if np.iscomplexobj(x):
+            complex_calls.append(np.shape(x))
+        return _fn(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    rng = np.random.default_rng(11)
+    wavefunction(s, (0.4, -0.7))
+    wavefunction_grid(s, np.linspace(-1.0, 1.0, 9), np.linspace(-2.0, 2.0, 40))
+    wavefunction_grid(s, rng.uniform(-2.0, 2.0, 7), rng.uniform(-2.0, 2.0, 30))
+    slice_profile(s, 0.2, np.linspace(-3.0, 3.0, 50))
+    kg_equation_residual(s, [(0.1, 0.2), (-0.3, 1.1)])
+    assert complex_calls == []
+
+
+def _ld_cis(phase):
+    ph = np.asarray(phase, dtype=np.longdouble)
+    return np.cos(ph), np.sin(ph)
+
+
+def test_cis_matches_long_double_cos_and_sin():
+    rng = np.random.default_rng(12)
+    for scale in (1e-3, 1.0, np.pi, 1e2, 1e4, 1e6):
+        phase = rng.uniform(-scale, scale, 20000)
+        z = states._cis(phase)
+        cos, sin = _ld_cis(phase)
+        assert np.max(np.abs(z.real - cos)) <= 4e-16
+        assert np.max(np.abs(z.imag - sin)) <= 4e-16
+        assert np.max(np.abs(np.abs(z) - 1.0)) <= 4.5e-16
+    # spot checks up to 1e15, and multiples of pi/2, where cos or sin is near 0
+    phase = np.concatenate(
+        [rng.uniform(-1.0, 1.0, 50) * 10.0**k for k in range(7, 16)]
+        + [np.pi / 2 * np.arange(-8, 9), [0.5 * np.pi, np.pi, 1e15 + 0.5]]
+    )
+    z = states._cis(phase)
+    cos, sin = _ld_cis(phase)
+    assert np.max(np.abs(z.real - cos)) <= 4e-16
+    assert np.max(np.abs(z.imag - sin)) <= 4e-16
+
+
+def test_cis_special_values():
+    one = complex(states._cis(0.0))
+    assert one == 1 + 0j and math.copysign(1.0, one.imag) == 1.0
+    neg = complex(states._cis(-0.0))
+    assert neg.real == 1.0 and neg.imag == 0.0 and math.copysign(1.0, neg.imag) == -1.0
+    with np.errstate(invalid="ignore"):
+        bad = states._cis(np.array([np.inf, -np.inf, np.nan]))
+    assert np.all(np.isnan(bad.real)) and np.all(np.isnan(bad.imag))
+
+
+def test_cis_bits_do_not_depend_on_layout_or_length():
+    rng = np.random.default_rng(13)
+    phase = rng.uniform(-1e4, 1e4, 3000)
+    whole = states._cis(phase)
+    wide = np.zeros(3 * phase.size + 1)
+    wide[1::3] = phase
+    assert states._cis(wide[1::3]).tobytes() == whole.tobytes()
+    table = np.zeros((phase.size, 2))
+    table[:, 1] = phase
+    assert states._cis(table[:, 1]).tobytes() == whole.tobytes()
+    for n in [*range(1, 70), 127, 128, 129, 1000, 2999]:
+        for start in (0, 1, 3, 5):
+            assert states._cis(phase[start : start + n]).tobytes() == whole[start : start + n].tobytes()
+    for k in range(0, phase.size, 97):
+        assert complex(states._cis(phase[k])) == complex(whole[k])
+    assert states._cis(phase.reshape(30, 100)).tobytes() == whole.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # inner product
 
