@@ -331,7 +331,7 @@ def _print_checks(rep: ScenarioReport, stream) -> None:
         print(
             f"[{status}] {check.label}: measured={check.measured:.12g} "
             f"predicted={check.predicted:.12g} tol={check.tolerance:g} "
-            f"({check.path})",
+            f"margin={check.margin:.3g} ({check.path})",
             file=stream,
         )
     for warning in rep.warnings:

@@ -50,6 +50,7 @@ from .states import (
 __all__ = [
     "FitError",
     "FitResult",
+    "Check",
     "BranchCheck",
     "ScenarioReport",
     "gaussian_fit",
@@ -88,6 +89,29 @@ class FitResult:
 
 
 @dataclass(frozen=True)
+class Check:
+    """One bound, the pass rule of every check: `error` must stay strictly
+    below `allowed`, and an exact check (allowed 0) passes only at error 0."""
+
+    key: str
+    error: float
+    allowed: float
+
+    @property
+    def passed(self) -> bool:
+        # bool(): an np.float64 bound would otherwise give an np.bool_
+        return bool(self.error < self.allowed or self.error == self.allowed == 0.0)
+
+    @property
+    def margin(self) -> float:
+        """error / allowed, the share of its bound a check uses; an exact
+        check reads 0 or inf."""
+        if self.allowed == 0.0:
+            return 0.0 if self.error == 0.0 else math.inf
+        return float(self.error / self.allowed)
+
+
+@dataclass(frozen=True)
 class BranchCheck:
     """One measured-vs-predicted number inside a scenario report."""
 
@@ -106,9 +130,17 @@ class BranchCheck:
         return float(abs(self.measured))
 
     @property
+    def check(self) -> Check:
+        """This check's deviation against its tolerance, as one bound."""
+        return Check(self.label, self.deviation, self.tolerance)
+
+    @property
     def passed(self) -> bool:
-        # bool(): an np.float64 tolerance would otherwise give an np.bool_
-        return bool(self.deviation <= self.tolerance)
+        return self.check.passed
+
+    @property
+    def margin(self) -> float:
+        return self.check.margin
 
     def to_dict(self) -> dict:
         return {

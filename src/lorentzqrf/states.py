@@ -236,6 +236,13 @@ class Gaussian2D:
                     f"{name} must be at most {limit:.4g}, where {name}**2 "
                     f"still fits a float, got {getattr(self, name)!r}"
                 )
+        if math.isinf(4.0 * math.pi * self.sigma_t * self.sigma_x):
+            raise ValueError(
+                "sigma_t * sigma_x must be at most "
+                f"{sys.float_info.max / (4.0 * math.pi):.4g}, where the transform's "
+                "prefactor 4*pi*sigma_t*sigma_x still fits a float, got "
+                f"sigma_t={self.sigma_t!r} and sigma_x={self.sigma_x!r}"
+            )
 
     def transform(self, e: np.ndarray, p: np.ndarray) -> np.ndarray:
         """integral dt dx exp(i e t - i p x) f(t, x), for 1-d arrays e and p."""

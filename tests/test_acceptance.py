@@ -6,7 +6,9 @@ assert each criterion's verdict and surface its one-line summary.
 
 import ast
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +20,7 @@ import pytest
 
 from lorentzqrf import acceptance
 from lorentzqrf.report import canonical_json
-from lorentzqrf.scenarios import InterferenceScenario
+from lorentzqrf.scenarios import BranchCheck, Check, InterferenceScenario
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,48 @@ def test_benchmark_criterion_bounds_name_detail_keys(suite):
     details = {r.number: r.details for r in suite}
     missing = [(n, key) for n, key, _ in bounds if key not in details[n]]
     assert bounds and missing == []
+    # no copied bound is stricter than the library's, so a passing selftest
+    # always passes the benchmark's gate
+    allowed = {(r.number, c.key): c.allowed for r in suite for c in r.checks}
+    looser = [(n, key, bound) for n, key, bound in bounds if allowed[n, key] > bound]
+    assert looser == []
+
+
+@pytest.mark.parametrize("allowed", [1e-12, 1e-4, 0.4, 5e-324, 1.0])
+def test_check_fails_at_its_bound(allowed):
+    assert not Check("k", allowed, allowed).passed
+    assert Check("k", np.nextafter(allowed, 0.0), allowed).passed
+    assert Check("k", allowed, allowed).margin == 1.0
+    # a scenario check goes through the same rule
+    assert not BranchCheck("k", 0.0, 0.0, allowed, allowed, "p").passed
+    assert BranchCheck("k", 0.0, 0.0, allowed, allowed, "p").margin == 1.0
+
+
+@pytest.mark.parametrize(
+    "error, passed, margin", [(0.0, True, 0.0), (5e-324, False, math.inf)]
+)
+def test_exact_check_passes_only_at_zero(error, passed, margin):
+    check = Check("round_trip", error, 0.0)
+    assert check.passed is passed and check.margin == margin
+    assert BranchCheck("k", 0.0, 0.0, error, 0.0, "p").passed is passed
+
+
+@pytest.mark.parametrize(
+    "failing", [Check("worst", 3e-12, 1e-12), Check("round_trip", 5e-324, 0.0)]
+)
+def test_one_failing_check_fails_its_criterion(failing):
+    result = acceptance.CriterionResult(
+        99, "test", (Check("fine", 1e-13, 1e-12), failing), "note", {"info": 1.0}
+    )
+    assert result.passed is False
+    named = rf"\b{failing.key} \S+ \(allowed \S+, margin (\S+)\)"
+    assert float(re.search(named, result.summary).group(1)) > 1.0
+    assert result.summary.endswith(", note")
+    # details hold errors, never margins: finite even when an exact check fails
+    assert result.details == {"info": 1.0, "fine": 1e-13, failing.key: failing.error}
+    assert all(math.isfinite(v) for v in result.details.values())
+    payload = canonical_json(acceptance.results_payload([result]))
+    assert json.loads(payload)["pass"] is False
 
 
 def test_criterion_2_bessel_constants_match_scipy():

@@ -316,6 +316,17 @@ def test_run_default_time_dilation(tmp_path, capsys):
     assert reporting.TIMESTAMP_FIELD in payload
 
 
+def test_run_check_lines_print_each_checks_margin(tmp_path, capsys):
+    code = cli.main(["run", "--scenario", "width-contraction", "--out", str(tmp_path)])
+    assert code == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[PASS]")]
+    rep = scenarios.run_width_contraction(scenarios.WidthScenario())
+    assert len(lines) == len(rep.branches) > 0
+    for line, check in zip(lines, rep.branches):
+        assert f" tol={check.tolerance:g} margin={check.margin:.3g} (" in line
+        assert 0.0 < check.margin == check.deviation / check.tolerance < 1.0
+
+
 def test_run_spec_example_intervals(tmp_path):
     code = cli.main(
         [

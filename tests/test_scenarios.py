@@ -52,7 +52,8 @@ def test_branch_check_pass_semantics():
     assert not rel_bad.passed
     assert rel_bad.deviation == abs((2.0 + 1e-11) - 2.0) / 2.0
     negative = BranchCheck("a", 1.0, -4.0, -3.0, 0.25, "exact-coordinate")
-    assert negative.deviation == 0.25 and negative.passed
+    # a deviation equal to its tolerance fails: every check's rule is strict
+    assert negative.deviation == 0.25 and not negative.passed
     # zero prediction switches to an absolute comparison
     zero_ok = BranchCheck("a", 1.0, 0.0, 5e-13, 1e-12, "exact-coordinate")
     assert zero_ok.passed and zero_ok.deviation == 5e-13

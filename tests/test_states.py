@@ -178,6 +178,17 @@ def test_gaussian2d_rejects_a_width_whose_square_overflows(grid, field):
         from_spacetime_function(Gaussian2D(**{field: 2e154}), 1.0, grid)
 
 
+def test_gaussian2d_rejects_widths_whose_prefactor_overflows(grid):
+    # each width squares, but 4*pi*sigma_t*sigma_x does not fit a float
+    message = (
+        r"^sigma_t \* sigma_x must be at most 1.431e\+307, .* "
+        r"got sigma_t=1e\+154 and sigma_x=1e\+154$"
+    )
+    with pytest.raises(ValueError, match=message):
+        from_spacetime_function(Gaussian2D(sigma_t=1e154, sigma_x=1e154), 1.0, grid)
+    Gaussian2D(sigma_t=1e154, sigma_x=1e153)  # prefactor 1.3e308 still fits
+
+
 def test_tilted_slice_against_quadrature(grid):
     prof = GaussianProfile(0.3, 0.9)
     f = TiltedSlice(0.2, -0.4, prof)
