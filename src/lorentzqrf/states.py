@@ -460,13 +460,18 @@ def _cis(phase) -> np.ndarray:
     u = np.multiply(phase, 0.5, out=np.empty(np.shape(phase)))
     np.tan(u, out=u)
     out = np.empty(u.shape, dtype=complex)
-    re, im = out.real, out.imag
+    _cis_from_half_tangent(u, out.real, out.imag)
+    return out
+
+
+def _cis_from_half_tangent(u: np.ndarray, re: np.ndarray, im: np.ndarray) -> None:
+    """cos and sin of phase from u = tan(phase/2), written into `re` and
+    `im`: cos = 2/(1 + u^2) - 1 and sin = u * 2/(1 + u^2).  `u` is only read."""
     np.multiply(u, u, out=re)
     np.add(re, 1.0, out=re)
     np.divide(2.0, re, out=re)
     np.multiply(u, re, out=im)
     np.subtract(re, 1.0, out=re)
-    return out
 
 
 def _point(state: RapidityState, coeffs: np.ndarray, t: float, x: float) -> complex:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from lorentzqrf import acceptance
+from lorentzqrf import coordinates as coords
 from lorentzqrf.report import canonical_json
 from lorentzqrf.scenarios import BranchCheck, Check, InterferenceScenario
 
@@ -210,8 +211,9 @@ def _full_matrix_amplitude(scn, omega, eps, nt, nx):
 def test_tiled_contour_oracle_matches_full_matrix(fields, omegas):
     # nt = 1000 gives 64-node tiles, so nx = 157 makes two full tiles and a
     # partial one.  The tiled oracle builds each node's exponent from row and
-    # column vectors and takes one exponential where the full matrix takes
-    # three, so the two need not agree in every bit: hence the 1e-15 bound.
+    # column vectors and takes one exponential, as exp(Re) times a half-angle
+    # tangent's (cos, sin), where the full matrix takes three complex ones,
+    # so the two need not agree in every bit: hence the 1e-15 bound.
     scn = replace(InterferenceScenario(), **fields)
     omegas = omegas or (scn.omega1, scn.omega2)
     got = acceptance._contour_oracle_amplitudes(scn, omegas, eps=1.0, nt=1000, nx=157)
@@ -289,5 +291,53 @@ def test_contour_oracle_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one full 3000 x 1200 complex matrix alone would be 58 MB
-    assert peak < 8e6
+    # three 21 x 3000 complex tiles and the t and x vectors come to 3.6 MB; one
+    # more tile (1 MB) fails, as does one full 3000 x 1200 matrix (58 MB)
+    assert peak < 4e6
+
+
+def test_contour_oracle_takes_no_complex_exponential(monkeypatch):
+    # exp(Re) is a real exponential and (cos, sin)(Im) come from a half-angle
+    # tangent: np.exp sees no complex array
+    scn = InterferenceScenario()
+    complex_calls = []
+
+    def counted(x, *args, _fn=np.exp, **kwargs):
+        if np.iscomplexobj(x):
+            complex_calls.append(np.shape(x))
+        return _fn(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    acceptance._contour_oracle_amplitudes(scn, (scn.omega1, scn.omega2), nt=300, nx=50)
+    assert complex_calls == []
+
+
+def _scalar_coordinate_instance(rng):
+    """Criterion 8's instance drawn one coordinate at a time."""
+    n_branch = int(rng.integers(1, 5))
+    vs = []
+    while len(vs) < n_branch:
+        v = float(rng.uniform(-0.99, 0.99))
+        if all(abs(v - u) > 1e-6 for u in vs):
+            vs.append(v)
+    n_events = int(rng.integers(2, 5))
+    rows = tuple(
+        tuple(
+            coords.EventCoordinate(float(rng.uniform(-10, 10)), float(rng.uniform(-10, 10)))
+            for _ in range(n_events)
+        )
+        for _ in range(n_branch)
+    )
+    return coords.JointCoordinateState(
+        "A", tuple(coords.VelocityBranch(v) for v in vs), rows
+    )
+
+
+def test_coordinate_instance_reproduces_the_scalar_stream():
+    fast, slow = np.random.default_rng(808), np.random.default_rng(808)
+    for _ in range(200):
+        got = acceptance._coordinate_instance(fast)
+        ref = _scalar_coordinate_instance(slow)
+        assert got == ref
+        assert all(type(ev) is coords.EventCoordinate for row in got.events for ev in row)
+        assert fast.bit_generator.state == slow.bit_generator.state
