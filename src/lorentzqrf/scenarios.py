@@ -14,8 +14,9 @@ Each scenario is a frozen dataclass whose `__post_init__` range-checks its
 fields.  Each field is one `lorentzqrf run` key, declared on the field: its
 name, or `metadata["key"]` where that differs; a `grid` field, whose key is
 None, is not on the command line.
-A report carries everything its table and plot draw, in `details` and
-`grids`.
+A report carries everything its table and plot draw: the table reads
+`branches` or `details`, and `plots.draw` draws `chart`, which each runner
+builds from its own values.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -143,15 +144,7 @@ class BranchCheck:
         return self.check.margin
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "parameter": self.parameter,
-            "predicted": self.predicted,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "path": self.path,
-            "pass": self.passed,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "pass": self.passed}
 
 
 def _named_checks(
@@ -164,13 +157,42 @@ def _named_checks(
     ]
 
 
+def _check_omegas(name: str, omegas) -> None:
+    """`check_branches`, and labels `omega={omega:g}` that differ: reports key
+    branches by them, so two that print alike would keep one branch's values."""
+    check_branches(list(omegas))
+    labels = [f"omega={om:g}" for om in omegas]
+    if len(set(labels)) < len(labels):
+        raise ValueError(
+            f"{name} must differ in 6 significant digits, which label their "
+            f"branches: {tuple(omegas)!r} print as {labels}"
+        )
+
+
+def _chart(
+    kind: str, title: str, xlabel: str, ylabel: str, data: list, x: list | None = None
+) -> dict:
+    """A report's plot, as `plots.draw` reads it; a line chart whose series
+    share one axis passes it once, as `x`."""
+    chart = {"kind": kind, "title": title, "xlabel": xlabel, "ylabel": ylabel, "data": data}
+    if x is not None:
+        chart["x"] = x
+    return chart
+
+
+def _by_label(entries) -> list[list]:
+    """Chart entries [label, ...] sorted by label, the order of every
+    per-branch chart."""
+    return sorted(entries, key=lambda entry: entry[0])
+
+
 @dataclass(frozen=True)
 class ScenarioReport:
     scenario: str
     branches: tuple[BranchCheck, ...]
     warnings: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
-    grids: dict = field(default_factory=dict)
+    chart: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -182,7 +204,7 @@ class ScenarioReport:
             "branches": [b.to_dict() for b in self.branches],
             "warnings": list(self.warnings),
             "details": self.details,
-            "grids": self.grids,
+            "chart": self.chart,
             "pass": self.passed,
         }
 
@@ -378,7 +400,7 @@ class DilationScenario:
             raise ValueError("dt must be positive")
         if not self.t1 + self.dt > self.t1:  # dt below the float spacing at t1
             raise ValueError("t1 + dt must exceed t1 in floating point")
-        check_branches(list(self.omegas))
+        _check_omegas("omega1 and omega2", self.omegas)
         if self.mode not in ("exact-event", "narrow-gaussian"):
             raise ValueError(f"unknown dilation mode {self.mode!r}")
         if self.mode == "exact-event":
@@ -413,10 +435,12 @@ class DilationScenario:
 
 
 def _dilation_packet_interval(
-    scn: DilationScenario, omega: float
-) -> tuple[float, dict, list[str], dict[float, float]]:
-    """Fitted time separation of two boosted event markers in one branch,
-    their scans, the boosted markers' notes and each event's fit residual."""
+    scn: DilationScenario, omega: float, label: str
+) -> tuple[float, list[dict], dict, list[str]]:
+    """Fitted time separation of two boosted event markers in branch `label`,
+    each event's |psi|^2 scan as a chart series, its fitted centre and scan
+    line, and the branch's warnings: the boosted markers' notes, then each
+    poor fit's residual."""
     grid = scn.grid or RapidityGrid.default()
     ch, sh = math.cosh(omega), math.sinh(omega)
     scan_width = max(2.0 * scn.mass * scn.sigma**2, scn.sigma) * (ch + abs(sh))
@@ -426,10 +450,7 @@ def _dilation_packet_interval(
             f"omega={omega} (scan width {scan_width:.3g} vs interval "
             f"{ch * scn.dt:.3g})"
         )
-    centers = []
-    scans = {}
-    notes = []
-    residuals = {}
+    centers, series, scans, notes, poor_fits = [], [], {}, [], []
     for tj in scn.times:
         marker = from_spacetime_function(
             Gaussian2D(tj, scn.x0, scn.sigma, scn.sigma, energy=scn.mass),
@@ -444,14 +465,13 @@ def _dilation_packet_interval(
         vals = np.abs(wavefunction_grid(branch_state, ts, [x_line])[:, 0]) ** 2
         fit = gaussian_fit(ts, vals, t_pred, scan_width)
         centers.append(fit.center)
-        residuals[tj] = fit.residual
-        scans[f"event_t{tj:g}"] = {
-            "t": ts.tolist(),
-            "density": vals.tolist(),
-            "fit_center": fit.center,
-            "x_line": x_line,
-        }
-    return centers[1] - centers[0], scans, notes, residuals
+        event = f"event_t{tj:g}"
+        series.append([f"{label} {event}", ts.tolist(), vals.tolist()])
+        scans[event] = {"fit_center": fit.center, "x_line": x_line}
+        if fit.residual > _FIT_RESIDUAL_WARN:
+            poor_fits.append(f"gaussian fit residual {fit.residual:.3g} at event t={tj:g}")
+    warnings = [f"branch {label}: {text}" for text in notes + poor_fits]
+    return centers[1] - centers[0], series, scans, warnings
 
 
 def run_time_dilation(scn: DilationScenario) -> ScenarioReport:
@@ -464,37 +484,34 @@ def run_time_dilation(scn: DilationScenario) -> ScenarioReport:
     """
     checks = []
     details: dict = {"dt": scn.dt, "mode": scn.mode}
-    grids: dict = {}
-    warnings = []
+    data, scans, warnings = [], {}, []
     for omega in scn.omegas:
         label = f"omega={omega:g}"
         if scn.mode == "exact-event":
             mapped = [boost_point(-omega, (tj, scn.x0)) for tj in scn.times]
             measured = mapped[1].t - mapped[0].t
             path = "exact-coordinate"
-            grids[label] = {"events": [list(ev) for ev in mapped]}
+            data.append([label, [list(ev) for ev in mapped]])
         else:
-            measured, grids[label], notes, residuals = _dilation_packet_interval(
-                scn, omega
+            measured, series, scans[label], notes = _dilation_packet_interval(
+                scn, omega, label
             )
             path = "wave-packet"
-            warnings.extend(f"branch {label}: {note}" for note in notes)
-            warnings.extend(
-                f"branch {label}: gaussian fit residual {r:.3g} at event t={tj:g}"
-                for tj, r in residuals.items()
-                if r > _FIT_RESIDUAL_WARN
-            )
+            data += series
+            warnings += notes
         predicted = math.cosh(omega) * scn.dt
         checks.append(BranchCheck(label, omega, predicted, measured, scn.tolerance, path))
-    if scn.mode != "exact-event":
-        details["sigma"] = scn.sigma
-        details["mass"] = scn.mass
+    if scn.mode == "exact-event":
+        chart = _chart("events", "time dilation: boosted clock events", "x", "t", _by_label(data))
+    else:
+        details.update(sigma=scn.sigma, mass=scn.mass, scans=scans)
+        chart = _chart("line", "time dilation: event markers", "t", "|psi|^2", _by_label(data))
     return ScenarioReport(
         scenario="time-dilation",
         branches=tuple(checks),
         warnings=tuple(warnings),
         details=details,
-        grids=grids,
+        chart=chart,
     )
 
 
@@ -551,7 +568,7 @@ def run_length_contraction(scn: ContractionScenario) -> ScenarioReport:
     dx = scn.x2 - scn.x1
     checks = []
     details: dict = {"dx": dx}
-    grids: dict = {}
+    data = []
     for branch_name, v, own_pair in (("b", scn.v_b, "B"), ("d", scn.v_d, "D")):
         omega = rapidity_of_velocity(v)
         gamma = math.cosh(omega)
@@ -570,7 +587,7 @@ def run_length_contraction(scn: ContractionScenario) -> ScenarioReport:
             branch_name, v, scn.tolerance, "exact-coordinate",
             length=(dx / gamma, dx_prime), simultaneity=(0.0, dt_prime),
         )
-        grids[f"v={v:g}"] = branch_events
+        data += [[f"v={v:g} pair {pair}", events] for pair, events in branch_events.items()]
         details[f"branch_{branch_name}"] = {
             "velocity": v,
             "gamma": gamma,
@@ -580,7 +597,7 @@ def run_length_contraction(scn: ContractionScenario) -> ScenarioReport:
         scenario="length-contraction",
         branches=tuple(checks),
         details=details,
-        grids=grids,
+        chart=_chart("events", "length contraction: rod end events", "x", "t", _by_label(data)),
     )
 
 
@@ -607,7 +624,7 @@ class WidthScenario:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        check_branches(list(self.omegas))
+        _check_omegas("omegas", self.omegas)
         check_mass(self.mass)
 
 
@@ -620,9 +637,7 @@ def run_width_contraction(scn: WidthScenario) -> ScenarioReport:
         payload_mass=scn.mass,
         grid=scn.grid,
     )
-    checks = []
-    grids: dict = {}
-    warnings = []
+    checks, series, fit_sigma, warnings = [], [], {}, []
     for branch, (pay,) in zip(jumped.branches, jumped.payloads):
         omega = -branch.rapidity
         predicted = scn.sigma / math.cosh(omega)
@@ -633,11 +648,8 @@ def run_width_contraction(scn: WidthScenario) -> ScenarioReport:
         checks.append(
             BranchCheck(label, omega, predicted, fit.sigma, scn.tolerance, "wave-packet")
         )
-        grids[label] = {
-            "x": xs.tolist(),
-            "profile": prof.tolist(),
-            "fit_sigma": fit.sigma,
-        }
+        series.append([label, xs.tolist(), prof.tolist()])
+        fit_sigma[label] = fit.sigma
         if fit.residual > _FIT_RESIDUAL_WARN:
             warnings.append(
                 f"branch omega={omega:g}: gaussian fit residual {fit.residual:.3g}"
@@ -653,8 +665,12 @@ def run_width_contraction(scn: WidthScenario) -> ScenarioReport:
             "coordinate_factors": {
                 f"omega={om:g}": 1.0 / math.cosh(om) for om in scn.omegas
             },
+            "fit_sigma": fit_sigma,
         },
-        grids=grids,
+        chart=_chart(
+            "line", "width contraction: branch profiles at t=0", "x", "|profile|^2",
+            _by_label(series),
+        ),
     )
 
 
@@ -683,7 +699,7 @@ class SliceScenario:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        check_branches(list(self.omegas))
+        _check_omegas("omegas", self.omegas)
 
 
 def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
@@ -692,7 +708,7 @@ def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
     Branch omega carries the payload on t = payload_time/cosh(omega)
     + tanh(omega) x; both numbers are extracted from the rapidity-space
     amplitudes (peak location and phase fit), not from wavefunction scans.
-    Each ridge is tabulated in `grids` across its branch's support,
+    The chart draws each ridge across its branch's support,
     |x| <= 4 sigma cosh(omega).
     """
     amp = 1.0 / math.sqrt(len(scn.omegas))
@@ -706,9 +722,7 @@ def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
         payload_mass=scn.payload_mass,
         grid=scn.grid,
     )
-    checks = []
-    grids: dict = {}
-    warnings = []
+    checks, series, warnings = [], [], []
     for branch, (pay,) in zip(state.branches, state.payloads):
         omega = -branch.rapidity
         slope_pred = math.tanh(omega)
@@ -720,10 +734,8 @@ def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
         )
         span = 4.0 * scn.sigma * math.cosh(omega)
         xs = np.linspace(-span, span, 41)
-        grids[f"omega={omega:g}"] = {
-            "x": xs.tolist(),
-            "ridge_t": (intercept + slope * xs).tolist(),
-        }
+        ridge = intercept + slope * xs
+        series.append([f"omega={omega:g}", xs.tolist(), ridge.tolist()])
         warnings.extend(f"branch omega={omega:g}: {note}" for note in pay.notes)
     return ScenarioReport(
         scenario="superposed-slice",
@@ -737,7 +749,9 @@ def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
                 for b in state.branches
             },
         },
-        grids=grids,
+        chart=_chart(
+            "line", "superposed slices: fitted branch ridges", "x", "t", _by_label(series)
+        ),
     )
 
 
@@ -764,15 +778,16 @@ class BoostSuperpositionScenario:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        check_branches(list(self.omegas))
+        _check_omegas("omegas", self.omegas)
         check_mass(self.mass)
 
 
 def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
     """Rapidity-space peaks of each boosted component of the superposition.
 
-    `grids` hold the densities on the sites of the branches' support
-    windows only (`RapidityState.window`: |a| > 1e-16 max|a|).
+    The chart draws the total and each branch's density, in label order, on
+    the sites of the branches' support windows only
+    (`RapidityState.window`: |a| > 1e-16 max|a|).
     """
     grid = scn.grid or RapidityGrid.default()
     rest = from_spacetime_function(
@@ -799,16 +814,17 @@ def run_boost_superposition(scn: BoostSuperpositionScenario) -> ScenarioReport:
         if win.stop > win.start:  # an empty window sits at index 0
             lo, hi = min(lo, win.start), max(hi, win.stop)
     keep = slice(lo, hi)  # empty when every branch left the grid
+    series = [["total", (np.abs(total[keep]) ** 2 / 2.0).tolist()]]
+    series += [[label, d[keep].tolist()] for label, d in sorted(densities.items())]
     return ScenarioReport(
         scenario="superposition-of-boosts",
         branches=tuple(checks),
         warnings=tuple(warnings),
         details={"sigma": scn.sigma, "mass": scn.mass},
-        grids={
-            "theta": grid.thetas[keep].tolist(),
-            "density_total": (np.abs(total[keep]) ** 2 / 2.0).tolist(),
-            "density_branches": {k: d[keep].tolist() for k, d in densities.items()},
-        },
+        chart=_chart(
+            "line", "superposition of boosts: momentum density", "rapidity", "|a|^2/2",
+            series, x=grid.thetas[keep].tolist(),
+        ),
     )
 
 
@@ -980,26 +996,32 @@ def run_nonrel_interference(scn: InterferenceScenario) -> ScenarioReport:
             "exact-coordinate",
         ),
     )
+    components = {
+        "branch_one": 0.5 * b1,
+        "branch_two": 0.5 * b2,
+        "interference": float(scn.sign) * cross,
+        "p_plus": p_plus,
+        "p_minus": p_minus,
+        "total": total,
+        "amp_one_re": amp1.real,
+        "amp_one_im": amp1.imag,
+        "amp_two_re": amp2.real,
+        "amp_two_im": amp2.imag,
+        "frame_overlap": overlap,
+    }
+    bars = (
+        ("p+", "p_plus"), ("p-", "p_minus"), ("branch 1", "branch_one"),
+        ("branch 2", "branch_two"), ("cross", "interference"),
+    )
     return ScenarioReport(
         scenario="nonrel-interference",
         branches=checks,
         warnings=tuple(warnings),
-        details={
-            "value": min(max(value, 0.0), 1.0),
-            "components": {
-                "branch_one": 0.5 * b1,
-                "branch_two": 0.5 * b2,
-                "interference": float(scn.sign) * cross,
-                "p_plus": p_plus,
-                "p_minus": p_minus,
-                "total": total,
-                "amp_one_re": amp1.real,
-                "amp_one_im": amp1.imag,
-                "amp_two_re": amp2.real,
-                "amp_two_im": amp2.imag,
-                "frame_overlap": overlap,
-            },
-        },
+        details={"value": min(max(value, 0.0), 1.0), "components": components},
+        chart=_chart(
+            "bars", "interference probe components", "", "density",
+            [[label, components[key]] for label, key in bars],
+        ),
     )
 
 
@@ -1060,12 +1082,17 @@ def run_coordinate_transform(scn: CoordinateScenario) -> ScenarioReport:
         )
         for branch, b_int, a_int in zip(state.lab, before, after)
     ]
-    before_dict, after_dict = coords.state_to_dict(state), coords.state_to_dict(moved)
+    details = {"before": coords.state_to_dict(state), "after": coords.state_to_dict(moved)}
+    groups = [
+        [f"{stage} v={branch['v']:g}", row]
+        for stage, joint in details.items()
+        for branch, row in zip(joint["lab"], joint["events"])
+    ]
     return ScenarioReport(
         scenario="coordinate-transform",
         branches=tuple(checks),
-        details={"before": before_dict, "after": after_dict},
-        grids={"before": before_dict["events"], "after": after_dict["events"]},
+        details=details,
+        chart=_chart("events", "coordinate transform: branch events", "x", "t", groups),
     )
 
 
@@ -1116,14 +1143,14 @@ def run_propagator_table(scn: PropagatorTableScenario) -> ScenarioReport:
     return ScenarioReport(
         scenario="propagator-table",
         branches=(),
-        details={"mass": scn.mass},
-        grids={
-            "rows": rows,
-            "timelike": {
-                "dt": seps,
-                "re": [w.real for w in tl],
-                "im": [w.imag for w in tl],
-            },
-            "spacelike": {"dx": seps, "value": [w.real for w in sl]},
-        },
+        details={"mass": scn.mass, "rows": rows},
+        chart=_chart(
+            "line", "two-point function along the axes", "separation", "W",
+            [
+                ["Re W(dt,0)", [w.real for w in tl]],
+                ["Im W(dt,0)", [w.imag for w in tl]],
+                ["W(0,dx)", [w.real for w in sl]],
+            ],
+            x=seps,
+        ),
     )

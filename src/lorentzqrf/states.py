@@ -133,7 +133,10 @@ class RapidityGrid:
         if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
             raise TypeError(f"grid count must be an integer, got {self.count!r}")
         if not (math.isfinite(self.theta_min) and math.isfinite(self.step)):
-            raise ValueError("grid parameters must be finite")
+            raise ValueError(
+                f"grid theta_min and step must be finite, got {self.theta_min!r} "
+                f"and {self.step!r}"
+            )
         if self.step <= 0.0:
             raise ValueError(f"grid step must be positive, got {self.step!r}")
         if self.count < 8:
@@ -258,15 +261,6 @@ class Gaussian2D:
             s = slice(live[0], live[-1] + 1)
             out[s] = amp * np.exp(1j * (e[s] * self.t0 - p[s] * self.x0) - de[s] - dp[s])
         return out
-
-    def __call__(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        u, v = np.asarray(t) - self.t0, np.asarray(x) - self.x0
-        return np.exp(
-            -(u**2) / (4.0 * self.sigma_t**2)
-            - (v**2) / (4.0 * self.sigma_x**2)
-            - 1j * self.energy * u
-            + 1j * self.momentum * v
-        )
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,25 @@ def test_empty_chart_renders_blank_panel_with_axes():
     assert "polyline" not in a
 
 
+def test_draw_dispatches_each_chart_kind():
+    labels = {"title": "t", "xlabel": "u", "ylabel": "v"}
+    xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0, 0.5]
+    line = plots.line_chart([("a", xs, ys), ("b", xs, ys[::-1])], **labels)
+    series = [["a", xs, ys], ["b", xs, ys[::-1]]]
+    assert plots.draw({"kind": "line", **labels, "data": series}) == line
+    # one "x" shared by every series draws as if each series held it
+    shared = [["a", ys], ["b", ys[::-1]]]
+    assert plots.draw({"kind": "line", **labels, "x": xs, "data": shared}) == line
+    events = [("a", [(0.0, 1.0), (2.0, 3.0)])]
+    assert plots.draw({"kind": "events", **labels, "data": events}) == plots.event_chart(
+        events, **labels
+    )
+    bars = [("p", 1.0), ("q", -0.5)]
+    assert plots.draw({"kind": "bars", **labels, "data": bars}) == plots.bar_chart(bars, **labels)
+    with pytest.raises(ValueError, match="^unknown chart kind 'pie'$"):
+        plots.draw({"kind": "pie", **labels, "data": []})
+
+
 def test_chart_rejects_a_range_whose_span_overflows():
     for draw in (
         lambda: plots.event_chart([("a", [(1e308, 0.0), (-1e308, 1.0)])]),
@@ -601,6 +620,8 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
         ("width-contraction", 'omegas="abc"', "omegas must be a number, got 'abc'"),
         ("time-dilation", "x0=[1]", "x0 must be a number, got [1]"),
         ("time-dilation", "dt=NaN", "dt must be finite, got nan"),
+        # an integer beyond the float range
+        ("propagator-table", "steps=" + "9" * 309, "steps must be finite, got " + "9" * 309),
         ("length-contraction", "tb=[0.6]", "tb needs a list of 2 values"),
         ("coordinate-transform", "owner=1", "owner must be a string, got 1"),
         ("time-dilation", "dt=-1", "dt must be positive (given dt=-1.0)"),
@@ -640,6 +661,13 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
             "superposed-slice",
             "payload_mass=-1",
             "mass must be positive, got -1.0 (given payload_mass=-1.0)",
+        ),
+        (
+            "time-dilation",
+            "w1=0.1234567 w2=0.1234568",
+            "omega1 and omega2 must differ in 6 significant digits, which label their "
+            "branches: (0.1234567, 0.1234568) print as ['omega=0.123457', "
+            "'omega=0.123457'] (given w1=0.1234567, w2=0.1234568)",
         ),
         (
             "coordinate-transform",
@@ -843,7 +871,7 @@ def test_run_slice_scenario_with_plot(tmp_path):
     payload = json.loads(_read_report(tmp_path / "report.json"))
     # one fitted ridge per branch
     assert svg.startswith("<?xml")
-    assert svg.count("<polyline") == len(payload["grids"]) == 2
+    assert svg.count("<polyline") == len(payload["chart"]["data"]) == 2
 
 
 # the default of every scenario, and the wave-packet path of time dilation
@@ -857,9 +885,8 @@ def test_tables_and_plots_come_from_the_report_alone(tmp_path, name, extra):
     argv = ["run", "--scenario", name, *extra, "--out", str(tmp_path)]
     assert cli.main(argv + ["--csv", "--plot", "svg"]) == 0
     rep = json.loads(_read_report(tmp_path / "report.json"))
-    entry = cli.SCENARIOS[name]
-    assert entry.plot(rep) == (tmp_path / "plot.svg").read_text()
-    rows, columns = entry.csv(rep)
+    assert plots.draw(rep["chart"]) == (tmp_path / "plot.svg").read_text()
+    rows, columns = cli.SCENARIOS[name].csv(rep)
     table = "\n".join(reporting.csv_lines(rows, columns)) + "\n"
     assert table == (tmp_path / "table.csv").read_text()
 
@@ -882,10 +909,40 @@ def _per_value_json(obj):
 def test_bulk_rows_and_polylines_match_per_value_emitters(monkeypatch, name):
     rep = LIBRARY_RUNS[name]().to_dict()
     assert reporting.canonical_json(rep) == _per_value_json(rep)
-    svg = cli.SCENARIOS[name].plot(rep)
+    svg = plots.draw(rep["chart"])
     monkeypatch.setattr(plots, "line_chart", _per_point_line_chart)
     monkeypatch.setattr(plots, "event_chart", _per_point_event_chart)
-    assert svg == cli.SCENARIOS[name].plot(rep)
+    assert svg == plots.draw(rep["chart"])
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ("sigma", "--set expects key=value, got 'sigma'"),
+        ("=1", "--set expects a nonempty key, got '=1'"),
+    ],
+)
+def test_run_rejects_a_malformed_set(tmp_path, capsys, pair, message):
+    argv = ["run", "--scenario", "width-contraction", "--set", pair, "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--scenario", "time-dilation"], ["selftest"]], ids=["run", "selftest"]
+)
+def test_out_under_a_regular_file_is_an_output_error(tmp_path, capsys, monkeypatch, command):
+    from lorentzqrf import acceptance
+
+    # the suite's own results are tested elsewhere; here only its output fails
+    monkeypatch.setattr(acceptance, "run_all", lambda: [])
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert cli.main([*command, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write artifacts: [Errno 20] Not a directory:")
+    assert str(out) in err
 
 
 def test_run_boosts_scalar_omega_coerced(tmp_path):
@@ -908,9 +965,9 @@ def test_run_boosts_scalar_omega_coerced(tmp_path):
 def test_run_boosts_off_the_grid_draws_the_blank_chart(tmp_path, capsys):
     argv = ["run", "--scenario", "superposition-of-boosts", "--set", "omegas=[30,-40]"]
     assert cli.main([*argv, "--out", str(tmp_path), "--plot", "svg", "--csv"]) == 0
-    grids = json.loads(_read_report(tmp_path / "report.json"))["grids"]
-    assert grids["theta"] == grids["density_total"] == []
-    assert grids["density_branches"] == {"omega=30": [], "omega=-40": []}
+    chart = json.loads(_read_report(tmp_path / "report.json"))["chart"]
+    assert chart["x"] == []
+    assert chart["data"] == [["total", []], ["omega=-40", []], ["omega=30", []]]
     blank = plots.line_chart(
         [],
         title="superposition of boosts: momentum density",

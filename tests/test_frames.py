@@ -590,6 +590,18 @@ def test_jump_rejects_nonfactorizing_state():
         jump_to_frame(state, "A")
 
 
+def test_jump_rejects_an_unknown_frame_label():
+    ext = SharpExternalState(CyclicLattice(4, 0.5), ("A", "B"), ((1.0, (0, 1)),))
+    with pytest.raises(ValueError, match="^unknown system 'Z'$"):
+        jump_to_frame(twirl_lattice(ext), "Z")
+
+
+@pytest.mark.parametrize("rapidity", [math.inf, -math.inf, math.nan])
+def test_sharp_branch_rejects_a_non_finite_rapidity(rapidity):
+    with pytest.raises(ValueError, match="^branch rapidity must be finite"):
+        SharpBranch(rapidity, 1.0, 1.0)
+
+
 def test_lattice_validation():
     with pytest.raises(ValueError):
         CyclicLattice(1, 0.5)

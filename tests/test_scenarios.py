@@ -13,9 +13,11 @@ from lorentzqrf.scenarios import (
     BoostSuperpositionScenario,
     BranchCheck,
     ContractionScenario,
+    CoordinateScenario,
     DilationScenario,
     FitError,
     InterferenceScenario,
+    PropagatorTableScenario,
     ScenarioReport,
     SliceScenario,
     WidthScenario,
@@ -23,6 +25,7 @@ from lorentzqrf.scenarios import (
     interference_amplitude,
     rapidity_peak_fit,
     run_boost_superposition,
+    run_coordinate_transform,
     run_length_contraction,
     run_nonrel_interference,
     run_superposed_slice,
@@ -211,7 +214,7 @@ def test_contraction_offset_pair_times_allowed():
 def test_contraction_cross_pair_not_simultaneous():
     scn = ContractionScenario()
     rep = run_length_contraction(scn)
-    events = rep.grids["v=0.6"]["D"]
+    events = dict(rep.chart["data"])["v=0.6 pair D"]
     dt_cross = events[1][0] - events[0][0]
     om = rapidity_of_velocity(scn.v_b)
     expected = math.cosh(om) * (scn.v_d - scn.v_b) * (scn.x2 - scn.x1)
@@ -326,9 +329,9 @@ def test_gaussian_fit_matches_curve_fit_on_width_contraction():
 
     rep = run_width_contraction(WidthScenario())
     assert len(rep.branches) == 3
+    profiles = {label: (xs, ys) for label, xs, ys in rep.chart["data"]}
     for check in rep.branches:
-        xs = np.array(rep.grids[check.label]["x"])
-        ys = np.array(rep.grids[check.label]["profile"])
+        xs, ys = (np.array(values) for values in profiles[check.label])
         fit = gaussian_fit(xs, ys, 0.0, check.predicted)
         assert fit.sigma == check.measured
         mask = np.abs(xs) <= 5.0 * check.predicted
@@ -353,10 +356,10 @@ def test_gaussian_fit_reaches_the_minimum_on_non_gaussian_scans(sigma, mass, ome
     rep = run_time_dilation(
         DilationScenario(mode="narrow-gaussian", sigma=sigma, mass=mass, omega2=omega2)
     )
-    scans = [scan for branch in rep.grids.values() for scan in branch.values()]
+    scans = rep.chart["data"]
     assert len(scans) == 4
-    for scan in scans:
-        ts, dens = np.array(scan["t"]), np.array(scan["density"])
+    for _, t, density in scans:
+        ts, dens = np.array(t), np.array(density)
         center, width = ts[60], (ts[-1] - ts[0]) / 10.0
         fit = gaussian_fit(ts, dens, center, width)
         mask = np.abs(ts - center) <= 5.0 * width
@@ -435,6 +438,73 @@ def test_slice_validation_errors():
         SliceScenario(omegas=(0.3, 0.3))
 
 
+# 0.1234567 and 0.1234568 are distinct branches that both print as omega=0.123457
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda om: DilationScenario(omega1=om[0], omega2=om[1]), "omega1 and omega2"),
+        (lambda om: WidthScenario(omegas=om), "omegas"),
+        (lambda om: SliceScenario(omegas=om), "omegas"),
+        (lambda om: BoostSuperpositionScenario(omegas=om), "omegas"),
+    ],
+    ids=["dilation", "width", "slice", "boosts"],
+)
+def test_branches_whose_labels_print_alike_are_rejected(make, name):
+    with pytest.raises(ValueError) as info:
+        make((0.1234567, 0.1234568))
+    assert str(info.value) == (
+        f"{name} must differ in 6 significant digits, which label their branches: "
+        "(0.1234567, 0.1234568) print as ['omega=0.123457', 'omega=0.123457']"
+    )
+    make((0.123456, 0.123457))  # labels that differ are kept
+
+
+@pytest.mark.parametrize(
+    "run, labels",
+    [
+        (
+            lambda: run_time_dilation(DilationScenario(omega1=0.5, omega2=-0.3)),
+            ["omega=-0.3", "omega=0.5"],
+        ),
+        (
+            lambda: run_time_dilation(
+                DilationScenario(
+                    mode="narrow-gaussian", omega1=0.5, omega2=-0.3, t1=-1.0, dt=0.5
+                )
+            ),
+            [
+                "omega=-0.3 event_t-0.5",
+                "omega=-0.3 event_t-1",
+                "omega=0.5 event_t-0.5",
+                "omega=0.5 event_t-1",
+            ],
+        ),
+        (
+            lambda: run_length_contraction(ContractionScenario(v_b=0.8, v_d=0.6)),
+            ["v=0.6 pair B", "v=0.6 pair D", "v=0.8 pair B", "v=0.8 pair D"],
+        ),
+        (
+            lambda: run_width_contraction(WidthScenario(omegas=(0.5, 0.1))),
+            ["omega=0.1", "omega=0.5"],
+        ),
+        (
+            lambda: run_superposed_slice(SliceScenario(omegas=(0.65, 0.25))),
+            ["omega=0.25", "omega=0.65"],
+        ),
+        (
+            lambda: run_boost_superposition(BoostSuperpositionScenario(omegas=(0.6, -0.35))),
+            ["total", "omega=-0.35", "omega=0.6"],
+        ),
+    ],
+    ids=["dilation", "packet-dilation", "contraction", "width", "slice", "boosts"],
+)
+def test_branch_charts_list_their_entries_by_label(run, labels):
+    """Whatever the input order, a per-branch chart sorts its entries by
+    label as text (so event_t-0.5 before event_t-1); boosts put the total
+    first."""
+    assert [entry[0] for entry in run().chart["data"]] == labels
+
+
 # ---------------------------------------------------------------------------
 # superposition of boosts
 
@@ -463,11 +533,12 @@ def test_boost_superposition_lattice_rapidities_exact():
 
 def test_boost_superposition_grids_shape():
     rep = run_boost_superposition(BoostSuperpositionScenario())
-    theta = rep.grids["theta"]
-    assert len(rep.grids["density_total"]) == len(theta)
-    assert set(rep.grids["density_branches"]) == {"omega=-0.35", "omega=0.6"}
+    theta = rep.chart["x"]
+    densities = dict(rep.chart["data"])
+    assert len(densities["total"]) == len(theta)
+    assert set(densities) == {"total", "omega=-0.35", "omega=0.6"}
     # total density is largest near the two branch rapidities
-    total = np.asarray(rep.grids["density_total"])
+    total = np.asarray(densities["total"])
     th = np.asarray(theta)
     top = th[np.argsort(total)[-40:]]
     assert np.any(np.abs(top + 0.35) < 0.2) and np.any(np.abs(top - 0.6) < 0.2)
@@ -477,7 +548,7 @@ def test_boost_superposition_grids_shape():
     "omegas", [(-0.35, 0.6), (0.0, 30.0), (9.5,), (-9.8, 0.2)], ids=str
 )
 def test_boost_superposition_grids_keep_the_branch_windows(omegas):
-    """The grids run over the union of the branches' nonempty windows, the
+    """The chart runs over the union of the branches' nonempty windows, the
     sites with |a| > 1e-16 max|a|; every site dropped is below that cut."""
     scn = BoostSuperpositionScenario(omegas=omegas)
     rep = run_boost_superposition(scn)
@@ -488,10 +559,8 @@ def test_boost_superposition_grids_keep_the_branch_windows(omegas):
     branches = [np.abs(resample(boost_state(rest, -om)).amplitudes) for om in omegas]
     sites = [np.flatnonzero(a > 1e-16 * np.max(a)) for a in branches if np.any(a)]
     lo, hi = min(i[0] for i in sites), max(i[-1] for i in sites) + 1
-    assert rep.grids["theta"] == grid.thetas[lo:hi].tolist()
-    lengths = {len(rep.grids["density_total"])}
-    lengths |= {len(d) for d in rep.grids["density_branches"].values()}
-    assert lengths == {hi - lo}
+    assert rep.chart["x"] == grid.thetas[lo:hi].tolist()
+    assert {len(density) for _, density in rep.chart["data"]} == {hi - lo}
     for a in branches:
         dropped = np.concatenate([a[:lo], a[hi:]])
         assert np.all(dropped <= 1e-16 * np.max(a))
@@ -690,3 +759,21 @@ def test_interference_validation_errors():
     for width in (0.0, -0.05, math.inf, math.nan):
         with pytest.raises(ValueError, match="frame_width"):
             InterferenceScenario(frame_width=width)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BoostSuperpositionScenario(sigma=0.0), "sigma must be positive"),
+        (
+            lambda: run_coordinate_transform(CoordinateScenario(amplitudes=((1.0, 0.0),))),
+            "amplitudes need one (re, im) pair per velocity",
+        ),
+        (lambda: PropagatorTableScenario(step=0.0), "step must be positive and finite, got 0.0"),
+    ],
+    ids=["boosts-sigma", "coordinate-amplitudes", "propagator-step"],
+)
+def test_scenarios_reject_bad_values_naming_the_field(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

@@ -83,6 +83,34 @@ def test_grid_validation():
 
 
 @pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: RapidityGrid(math.nan, 0.1, 16),
+            "grid theta_min and step must be finite, got nan and 0.1",
+        ),
+        (
+            lambda: RapidityGrid(0.0, math.inf, 16),
+            "grid theta_min and step must be finite, got 0.0 and inf",
+        ),
+        (lambda: RapidityGrid.symmetric(0.0), "half_width must be positive"),
+    ],
+    ids=["nan-theta_min", "inf-step", "symmetric-zero-width"],
+)
+def test_grid_rejects_bad_parameters_by_name(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_normalize_rejects_a_zero_state(grid):
+    state = from_spacetime_function(Slice(0.0, GaussianProfile()), 1.0, grid)
+    zero = state.with_amplitudes(np.zeros_like(state.amplitudes))
+    with pytest.raises(ValueError, match=r"^cannot normalize state with norm 0\.0$"):
+        normalize(zero)
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda: RapidityGrid.symmetric(10.0, 4096.0),
