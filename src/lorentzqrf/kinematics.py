@@ -46,11 +46,11 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
-def check_mass(m: float) -> float:
-    """Validate a rest mass (finite and strictly positive) and return it."""
-    _require_finite("mass", m)
+def check_mass(m: float, name: str = "mass") -> float:
+    """Validate a rest mass `name` (finite and strictly positive); return it."""
+    _require_finite(name, m)
     if m <= 0.0:
-        raise ValueError(f"mass must be positive, got {m!r}")
+        raise ValueError(f"{name} must be positive, got {m!r}")
     return float(m)
 
 

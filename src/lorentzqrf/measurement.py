@@ -2,10 +2,10 @@
 
 Probabilities follow the Born rule in the conserved inner product: the
 chance that a detector prepared in state h fires on a system in state f is
-|<h|f>|^2 with both states normalized.  Momentum densities are reported per
-unit rapidity, i.e. |a(theta)|^2 / 2, so that a normalized state integrates
-to one against d(theta); the superposition-of-boosts scenario reports its
-branch densities this way.
+|<h|f>|^2 / (<h|h> <f|f>), i.e. |<h|f>|^2 with both states normalized.
+Momentum densities are reported per unit rapidity, i.e. |a(theta)|^2 / 2, so
+that a normalized state integrates to one against d(theta); the
+superposition-of-boosts scenario reports its branch densities this way.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import RapidityState, kg_inner, normalize
+from .states import RapidityState, kg_inner
 
 __all__ = [
     "ProbabilityReport",
@@ -45,15 +45,12 @@ def momentum_density(state: RapidityState) -> np.ndarray:
 
 
 def region_probability(detector: RapidityState, state: RapidityState) -> ProbabilityReport:
-    """p(detector | state) = |<h|f>|^2 with h, f normalized."""
-    h = normalize(detector)
-    ff = kg_inner(state, state).real
-    if not (ff > 0.0 and math.isfinite(ff)):
-        raise ValueError("detection probability needs a state with positive norm")
-    overlap = kg_inner(h, state) / math.sqrt(ff)
-    value = abs(overlap) ** 2
-    value = min(value, 1.0)  # guard one-ulp Cauchy-Schwarz overshoot
+    """p(detector | state) = |<h|f>|^2 / (<h|h> <f|f>)."""
+    hh, ff = kg_inner(detector, detector).real, kg_inner(state, state).real
+    if not 0.0 < hh * ff < math.inf:
+        raise ValueError(f"detection probability needs 0 < <h|h> <f|f> < inf, got {hh!r}, {ff!r}")
+    overlap = kg_inner(detector, state) / math.sqrt(hh * ff)
     return ProbabilityReport(
-        value=value,
+        value=min(abs(overlap) ** 2, 1.0),  # guard one-ulp Cauchy-Schwarz overshoot
         components={"overlap_re": overlap.real, "overlap_im": overlap.imag},
     )

@@ -157,15 +157,24 @@ def _named_checks(
     ]
 
 
-def _check_omegas(name: str, omegas) -> None:
-    """`check_branches`, and labels `omega={omega:g}` that differ: reports key
+_OMEGA_MAX = math.acosh(sys.float_info.max)  # 710.4758...: cosh overflows past it
+
+
+def _check_branch_values(name: str, values, keys: tuple = (), symbol: str = "omega") -> None:
+    """`check_branches`, |value| <= _OMEGA_MAX (named by its entry in `keys`,
+    else by `name`), and labels `{symbol}={value:g}` that differ: reports key
     branches by them, so two that print alike would keep one branch's values."""
-    check_branches(list(omegas))
-    labels = [f"omega={om:g}" for om in omegas]
+    check_branches(list(values))
+    for key, value in zip(keys or (name,) * len(values), values):
+        if not abs(value) <= _OMEGA_MAX:
+            raise ValueError(
+                f"|{key}| must be at most {_OMEGA_MAX!r}, where cosh is finite, got {value!r}"
+            )
+    labels = [f"{symbol}={value:g}" for value in values]
     if len(set(labels)) < len(labels):
         raise ValueError(
             f"{name} must differ in 6 significant digits, which label their "
-            f"branches: {tuple(omegas)!r} print as {labels}"
+            f"branches: {tuple(values)!r} print as {labels}"
         )
 
 
@@ -359,14 +368,10 @@ def ridge_fit(state: RapidityState, intercept_guess: float):
     slope = math.tanh(peak)
     mag2 = np.abs(state.amplitudes) ** 2
     e, p = state.energies, state.momenta
-    xi_guess = 0.0
-    tau_guess = intercept_guess
-    resid = np.angle(
-        state.amplitudes * np.exp(-1j * (tau_guess * e - xi_guess * p))
-    )
+    resid = np.angle(state.amplitudes * np.exp(-1j * (intercept_guess * e)))
     a = np.stack([e, -p], axis=1)
     sol, *_ = np.linalg.lstsq((a.T * mag2).T, resid * mag2, rcond=None)
-    tau, xi = tau_guess + float(sol[0]), xi_guess + float(sol[1])
+    tau, xi = intercept_guess + float(sol[0]), float(sol[1])
     return slope, tau - slope * xi
 
 
@@ -400,7 +405,7 @@ class DilationScenario:
             raise ValueError("dt must be positive")
         if not self.t1 + self.dt > self.t1:  # dt below the float spacing at t1
             raise ValueError("t1 + dt must exceed t1 in floating point")
-        _check_omegas("omega1 and omega2", self.omegas)
+        _check_branch_values("omega1 and omega2", self.omegas, ("w1", "w2"))
         if self.mode not in ("exact-event", "narrow-gaussian"):
             raise ValueError(f"unknown dilation mode {self.mode!r}")
         if self.mode == "exact-event":
@@ -543,6 +548,7 @@ class ContractionScenario:
         for v in (self.v_b, self.v_d):
             if not (math.isfinite(v) and abs(v) < 1.0):
                 raise ValueError(f"branch velocity must satisfy |v| < 1, got {v}")
+        _check_branch_values("vb and vd", (self.v_b, self.v_d), symbol="v")
         if self.x2 == self.x1:
             raise ValueError("rod ends must be distinct")
         dx = self.x2 - self.x1
@@ -624,7 +630,7 @@ class WidthScenario:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        _check_omegas("omegas", self.omegas)
+        _check_branch_values("omegas", self.omegas)
         check_mass(self.mass)
 
 
@@ -699,7 +705,9 @@ class SliceScenario:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        _check_omegas("omegas", self.omegas)
+        _check_branch_values("omegas", self.omegas)
+        for name in ("payload_mass", "frame_mass", "branch_mass"):
+            check_mass(getattr(self, name), name)
 
 
 def run_superposed_slice(scn: SliceScenario) -> ScenarioReport:
@@ -778,7 +786,7 @@ class BoostSuperpositionScenario:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        _check_omegas("omegas", self.omegas)
+        _check_branch_values("omegas", self.omegas)
         check_mass(self.mass)
 
 
@@ -1053,13 +1061,11 @@ class CoordinateScenario:
             raise ValueError(
                 f"events needs at least two events per branch row, got a row of {short[0]}"
             )
+        if self.amplitudes is not None and len(self.amplitudes) != len(self.velocities):
+            raise ValueError("amplitudes need one (re, im) pair per velocity")
 
     def state(self) -> coords.JointCoordinateState:
-        amps = self.amplitudes
-        if amps is None:
-            amps = ((1.0, 0.0),) * len(self.velocities)
-        if len(amps) != len(self.velocities):
-            raise ValueError("amplitudes need one (re, im) pair per velocity")
+        amps = self.amplitudes or ((1.0, 0.0),) * len(self.velocities)
         lab = tuple(
             coords.VelocityBranch(v, complex(*a)) for v, a in zip(self.velocities, amps)
         )

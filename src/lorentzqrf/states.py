@@ -87,7 +87,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -714,20 +714,20 @@ def propagator(query: PropagatorQuery) -> complex:
 # inner product and maps
 
 
-def _check_compatible(a: RapidityState, b: RapidityState) -> None:
+def kg_inner(a: RapidityState, b: RapidityState) -> complex:
+    """Conserved inner product <a|b> = sum_j w_j conj(a_j) b_j over the two
+    `window`s' overlap (0j if none), on the grid's lattice (`resample`) for
+    states on different origins.  Each dropped term has |a_j| or |b_j| under
+    1e-16 of its state's peak, so together they are at most
+    1e-16 (max|a| sum_j w_j |b_j| + max|b| sum_j w_j |a_j|)."""
     if a.grid != b.grid:
         raise ValueError("states live on different rapidity grids")
     if a.mass != b.mass:
         raise ValueError(f"states have different masses ({a.mass} vs {b.mass})")
-
-
-def kg_inner(a: RapidityState, b: RapidityState) -> complex:
-    """Conserved inner product <a|b> = sum_j w_j conj(a_j) b_j; states on
-    different origins meet on the grid's lattice (`resample`)."""
-    _check_compatible(a, b)
     if a.origin != b.origin:
         a, b = resample(a), resample(b)
-    return complex(np.sum(a.weights * np.conj(a.amplitudes) * b.amplitudes))
+    lo, hi = max(a.window.start, b.window.start), min(a.window.stop, b.window.stop)
+    return complex(np.vdot(a.amplitudes[lo:hi], a.weights[lo:hi] * b.amplitudes[lo:hi]))
 
 
 def kg_norm(state: RapidityState) -> float:
@@ -735,10 +735,16 @@ def kg_norm(state: RapidityState) -> float:
 
 
 def normalize(state: RapidityState) -> RapidityState:
+    """The state over its norm, built without re-validation (a finite state
+    over a finite positive norm passes it) and without `window` or `spectrum`."""
     n = kg_norm(state)
     if not (n > 0.0 and math.isfinite(n)):
         raise ValueError(f"cannot normalize state with norm {n!r}")
-    return state.with_amplitudes(state.amplitudes / n)
+    a = state.amplitudes / n
+    a.flags.writeable = False
+    unit = object.__new__(type(state))
+    unit.__dict__.update({f.name: getattr(state, f.name) for f in fields(state)}, amplitudes=a)
+    return unit
 
 
 def translate(state: RapidityState, dt: float, dx: float) -> RapidityState:

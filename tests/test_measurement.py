@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lorentzqrf import measurement, states
 from lorentzqrf.measurement import (
     ProbabilityReport,
     momentum_density,
@@ -92,7 +93,7 @@ def test_region_probability_against_quadrature(grid):
 def test_povm_wrapper_and_report_fields(grid):
     rng = np.random.default_rng(4)
     f = _packet(rng, grid)
-    # an unnormalized detector state: region_probability normalizes it
+    # an unnormalized detector state: region_probability divides out its norm
     detector = from_spacetime_function(Slice(0.0, GaussianProfile(0.0, 1.0)), 1.0, grid)
     rep = region_probability(detector, f)
     overlap = complex(rep.components["overlap_re"], rep.components["overlap_im"])
@@ -101,6 +102,47 @@ def test_povm_wrapper_and_report_fields(grid):
         ProbabilityReport(1.5)
     with pytest.raises(ValueError):
         ProbabilityReport(float("nan"))
+
+
+def test_region_probability_matches_normalizing_the_detector_first(grid):
+    rng = np.random.default_rng(8)
+    for width in (0.3, 1.0, 4.0):
+        f = _packet(rng, grid)
+        detector = from_spacetime_function(Slice(0.1, GaussianProfile(0.2, width)), 1.0, grid)
+        assert abs(kg_inner(detector, detector).real - 1.0) > 0.1  # unnormalized
+        overlap = kg_inner(normalize(detector), f) / math.sqrt(kg_inner(f, f).real)
+        rep = region_probability(detector, f)
+        assert rep.value == pytest.approx(abs(overlap) ** 2, rel=0.0, abs=1e-15)
+        got = complex(rep.components["overlap_re"], rep.components["overlap_im"])
+        assert abs(got - overlap) <= 1e-15
+
+
+def test_region_probability_rejects_a_zero_norm_state(grid):
+    f = _packet(np.random.default_rng(9), grid)
+    zero = f.with_amplitudes(np.zeros_like(f.amplitudes))
+    for detector, state in ((zero, f), (f, zero)):
+        with pytest.raises(ValueError, match=r"needs 0 < <h\|h> <f\|f> < inf"):
+            region_probability(detector, state)
+
+
+def test_region_probability_takes_three_inner_products_and_no_normalize(grid, monkeypatch):
+    rng = np.random.default_rng(10)
+    h, f = _packet(rng, grid), _packet(rng, grid)
+    calls = {"kg_inner": 0, "normalize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(measurement, "kg_inner", counted("kg_inner", measurement.kg_inner))
+    normalize_counted = counted("normalize", states.normalize)
+    monkeypatch.setattr(states, "normalize", normalize_counted)
+    monkeypatch.setattr(measurement, "normalize", normalize_counted, raising=False)
+    region_probability(h, f)
+    assert calls == {"kg_inner": 3, "normalize": 0}
 
 
 def test_probability_boost_invariance(grid):

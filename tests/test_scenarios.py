@@ -459,6 +459,52 @@ def test_branches_whose_labels_print_alike_are_rejected(make, name):
     make((0.123456, 0.123457))  # labels that differ are kept
 
 
+@pytest.mark.parametrize("omega", [710.5, -710.5, 800.0])
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda om: DilationScenario(omega1=om), "w1"),
+        (lambda om: DilationScenario(omega2=om), "w2"),
+        (lambda om: WidthScenario(omegas=(om, 0.1)), "omegas"),
+        (lambda om: SliceScenario(omegas=(0.1, om)), "omegas"),
+        (lambda om: BoostSuperpositionScenario(omegas=(om, 0.1)), "omegas"),
+    ],
+    ids=["dilation-w1", "dilation-w2", "width", "slice", "boosts"],
+)
+def test_rapidities_whose_cosh_overflows_are_rejected(make, key, omega):
+    with pytest.raises(ValueError) as info:
+        make(omega)
+    assert str(info.value) == (
+        f"|{key}| must be at most 710.4758600739439, where cosh is finite, got {omega!r}"
+    )
+    assert math.isfinite(math.cosh(710.4758600739439))
+    make(710.4758600739439)  # the bound itself is kept
+
+
+@pytest.mark.parametrize("name", ["payload_mass", "frame_mass", "branch_mass"])
+def test_slice_masses_are_checked_by_name(name):
+    with pytest.raises(ValueError) as info:
+        SliceScenario(**{name: -1.0})
+    assert str(info.value) == f"{name} must be positive, got -1.0"
+    with pytest.raises(ValueError) as info:
+        SliceScenario(**{name: math.nan})
+    assert str(info.value) == f"{name} must be finite, got nan"
+
+
+def test_contraction_velocities_that_print_alike_are_rejected():
+    with pytest.raises(ValueError) as info:
+        ContractionScenario(v_b=0.6, v_d=0.6000001)
+    assert str(info.value) == (
+        "vb and vd must differ in 6 significant digits, which label their branches: "
+        "(0.6, 0.6000001) print as ['v=0.6', 'v=0.6']"
+    )
+    with pytest.raises(ValueError, match="branches must be distinct"):
+        ContractionScenario(v_b=0.6, v_d=0.6)
+    rep = run_length_contraction(ContractionScenario(v_b=0.6, v_d=0.600001))
+    labels = [label for label, _ in rep.chart["data"]]
+    assert len(set(labels)) == len(labels) == 4
+
+
 @pytest.mark.parametrize(
     "run, labels",
     [
@@ -766,7 +812,7 @@ def test_interference_validation_errors():
     [
         (lambda: BoostSuperpositionScenario(sigma=0.0), "sigma must be positive"),
         (
-            lambda: run_coordinate_transform(CoordinateScenario(amplitudes=((1.0, 0.0),))),
+            lambda: CoordinateScenario(amplitudes=((1.0, 0.0),)),
             "amplitudes need one (re, im) pair per velocity",
         ),
         (lambda: PropagatorTableScenario(step=0.0), "step must be positive and finite, got 0.0"),

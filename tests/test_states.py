@@ -24,6 +24,7 @@ from scipy.integrate import quad, trapezoid
 from scipy.special import hankel2, j0, k0, y0
 
 from lorentzqrf import states
+from lorentzqrf.acceptance import _random_state
 from lorentzqrf.kinematics import SpacetimePoint, boost_point
 from lorentzqrf.states import (
     Gaussian2D,
@@ -640,6 +641,92 @@ def test_kg_inner_mismatch_errors(grid):
     c = from_spacetime_function(Slice(0.0, GaussianProfile()), 2.0, grid)
     with pytest.raises(ValueError):
         kg_inner(a, c)
+
+
+def _fsum_inner(a, b, sites):
+    """sum of w_j conj(a_j) b_j over `sites`, each part by math.fsum, and
+    sum of the terms' magnitudes."""
+    terms = a.weights[sites] * np.conj(a.amplitudes[sites]) * b.amplitudes[sites]
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)), float(np.sum(np.abs(terms)))
+
+
+def _c10_pairs(grid):
+    # pairs prepared as criterion 10's probability pool is
+    rng = np.random.default_rng(1010)
+    return [(_random_state(rng, 1.0, grid), _random_state(rng, 1.0, grid)) for _ in range(20)]
+
+
+def _narrow_and_wide(grid):
+    narrow = from_spacetime_function(Slice(0.2, GaussianProfile(0.5, 5.0)), 1.0, grid)
+    wide = from_spacetime_function(Slice(0.0, GaussianProfile(0.0, 0.05)), 1.0, grid)
+    return [(narrow, wide), (wide, narrow)]
+
+
+def _cross_origin(grid):
+    rng = np.random.default_rng(1011)
+    f, g = _random_packet(rng, grid), _random_packet(rng, grid)
+    alpha = 37.4 * grid.step  # off the lattice
+    return [(boost_state(f, alpha), g), (f, boost_state(g, -0.3)), (boost_state(f, 0.7), g)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_c10_pairs, _narrow_and_wide, _cross_origin],
+    ids=["c10", "narrow-wide", "cross-origin"],
+)
+def test_kg_inner_stays_within_its_window_bound(grid, make):
+    """The terms kg_inner leaves out of the full weighted sum total at most
+    1e-16 (max|a| sum w|b| + max|b| sum w|a|) (its docstring), and the sum it
+    takes errs from the windows' exact overlap sum by rounding alone."""
+    for a, b in make(grid):
+        if a.origin != b.origin:
+            a, b = resample(a), resample(b)
+        lo, hi = max(a.window.start, b.window.start), min(a.window.stop, b.window.stop)
+        assert 0 < hi - lo < grid.count  # a strict, non-empty overlap
+        full, _ = _fsum_inner(a, b, slice(None))
+        overlap, size = _fsum_inner(a, b, slice(lo, hi))
+        mag_a, mag_b = np.abs(a.amplitudes), np.abs(b.amplitudes)
+        bound = 1e-16 * (
+            mag_a.max() * np.sum(grid.weights * mag_b) + mag_b.max() * np.sum(grid.weights * mag_a)
+        )
+        rounding = 4 * (hi - lo) * sys.float_info.epsilon * size
+        assert abs(full - overlap) <= bound
+        assert abs(kg_inner(a, b) - overlap) <= rounding
+        assert abs(kg_inner(a, b) - full) <= bound + rounding
+
+
+def test_kg_inner_of_disjoint_windows_is_exactly_zero(grid):
+    # a's tail under 1e-16 of its peak overlaps b: the full sum is not 0
+    a = np.zeros(grid.count, dtype=complex)
+    a[100:200], a[300:400] = 1.0, 1e-17
+    b = np.zeros(grid.count, dtype=complex)
+    b[300:400] = 1.0
+    sa, sb = RapidityState(grid, 1.0, a), RapidityState(grid, 1.0, b)
+    assert sa.window == slice(100, 200) and sb.window == slice(300, 400)
+    assert _fsum_inner(sa, sb, slice(None))[0] != 0.0
+    for x, y in ((sa, sb), (sb, sa)):
+        value = kg_inner(x, y)
+        assert type(value) is complex and value == 0j
+    zero = RapidityState(grid, 1.0, np.zeros(grid.count))
+    assert kg_inner(zero, sb) == 0j and kg_inner(sb, zero) == 0j
+
+
+def test_normalize_keeps_the_fields_and_drops_the_caches(grid):
+    raw = from_spacetime_function(Slice(0.0, GaussianProfile(0.3, 0.4)), 1.0, grid)
+    moved = boost_state(boost_state(raw, 0.1), 0.2)  # origin_lo != 0
+    state = RapidityState(
+        grid, 1.0, moved.amplitudes, ("a note",), moved.origin, moved.origin_lo
+    )
+    assert state.origin_lo != 0.0
+    state.spectrum  # cache window and spectrum on the source
+    unit = normalize(state)
+    assert type(unit) is RapidityState
+    assert (unit.grid, unit.mass, unit.notes) == (grid, 1.0, ("a note",))
+    assert (unit.origin, unit.origin_lo) == (state.origin, state.origin_lo)
+    assert np.array_equal(unit.amplitudes, state.amplitudes / kg_norm(state))
+    assert not unit.amplitudes.flags.writeable
+    assert "window" not in vars(unit) and "spectrum" not in vars(unit)
+    assert kg_norm(unit) == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
