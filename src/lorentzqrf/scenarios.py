@@ -1063,6 +1063,9 @@ class CoordinateScenario:
             )
         if self.amplitudes is not None and len(self.amplitudes) != len(self.velocities):
             raise ValueError("amplitudes need one (re, im) pair per velocity")
+        if len(self.events) != len(self.velocities):
+            n, m = len(self.events), len(self.velocities)
+            raise ValueError(f"events needs one row per velocity, got {n} for {m} velocities")
 
     def state(self) -> coords.JointCoordinateState:
         amps = self.amplitudes or ((1.0, 0.0),) * len(self.velocities)

@@ -299,6 +299,12 @@ SpacetimeFunction = Gaussian2D | Slice | TiltedSlice
 _WINDOW_CUT = 1e-16  # relative amplitude below which sites leave spectral sums
 
 
+def _span(mag: np.ndarray, cut: float, start: int = 0) -> slice:
+    """Smallest index range holding every mag_j > cut, from `start`; else (0, 0)."""
+    idx = np.flatnonzero(mag > cut)
+    return slice(start + int(idx[0]), start + int(idx[-1]) + 1) if idx.size else slice(0, 0)
+
+
 @dataclass(frozen=True, eq=False)
 class RapidityState:
     """Amplitudes over a rapidity grid for a particle of fixed mass.
@@ -360,11 +366,7 @@ class RapidityState:
         """Smallest index range holding every |a_j| > _WINDOW_CUT * max |a|:
         the sites spectral sums run over."""
         mag = np.abs(self.amplitudes)
-        peak = float(np.max(mag))
-        if peak == 0.0:
-            return slice(0, 0)
-        idx = np.flatnonzero(mag > _WINDOW_CUT * peak)
-        return slice(int(idx[0]), int(idx[-1]) + 1)
+        return _span(mag, _WINDOW_CUT * float(np.max(mag)))
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -740,17 +742,20 @@ def normalize(state: RapidityState) -> RapidityState:
     n = kg_norm(state)
     if not (n > 0.0 and math.isfinite(n)):
         raise ValueError(f"cannot normalize state with norm {n!r}")
-    a = state.amplitudes / n
-    a.flags.writeable = False
-    unit = object.__new__(type(state))
-    unit.__dict__.update({f.name: getattr(state, f.name) for f in fields(state)}, amplitudes=a)
-    return unit
+    return _rebuilt(state, amplitudes=state.amplitudes / n)
+
+
+def _rebuilt(state: RapidityState, **changes) -> RapidityState:
+    """`state` with `changes` (amplitudes made read-only), unvalidated, caching only those."""
+    changes["amplitudes"].flags.writeable = False
+    new = object.__new__(type(state))
+    new.__dict__.update({f.name: getattr(state, f.name) for f in fields(state)}, **changes)
+    return new
 
 
 def translate(state: RapidityState, dt: float, dx: float) -> RapidityState:
     """Rigid support shift by (dt, dx): amplitudes pick up exp(i E dt - i p dx)."""
-    phase = np.exp(1j * (state.energies * dt - state.momenta * dx))
-    return state.with_amplitudes(state.amplitudes * phase)
+    return state.with_amplitudes(state.amplitudes * _cis(state.energies * dt - state.momenta * dx))
 
 
 def boost_state(state: RapidityState, alpha: float) -> RapidityState:
@@ -817,42 +822,53 @@ def resample(state: RapidityState) -> RapidityState:
     sites the filter does not reach are 0.  Amplitudes falling off the grid
     are dropped, with a note when the support ends within 5% of its boundary
     or lies wholly beyond it.
+
+    Past a lattice shift's copy the work is O(window): |a| is read only where
+    support can be, its one peak gives the note and the result's cached
+    `window`, and only filtered sites, which can overflow, are checked finite.
     """
     if state.origin == 0.0:
         return state
     grid, a, alpha = state.grid, state.amplitudes, -state.origin
-    th, n = grid.thetas, grid.count
+    th, n, win = grid.thetas, grid.count, state.window
     k = alpha / grid.step
     kr = round(k)
-    new = np.zeros_like(a)
+    new = np.zeros(n, dtype=complex)
     if abs(k - kr) <= _LATTICE_SNAP:
-        if abs(kr) < n:
-            new[max(-kr, 0) : n - max(kr, 0)] = a[max(kr, 0) : n - max(-kr, 0)]
+        lo, hi = min(max(-kr, 0), n), max(n - max(kr, 0), 0)
+        new[lo:hi] = a[lo + kr : hi + kr]  # sub-cut tails too, keeping their bits
+        if lo <= win.start - kr and win.stop - kr <= hi:
+            lo, hi = win.start - kr, win.stop - kr
     else:
-        win, kf = state.window, math.floor(k)
-        lo, hi = max(win.start - 3, 0), min(win.stop + 3, n)
-        i0, i1 = max(lo - kf, 0), min(hi - kf, n)
-        if i0 < i1:
-            src = th[lo:hi] - alpha
+        kf = math.floor(k)
+        src_lo, src_hi = max(win.start - 3, 0), min(win.stop + 3, n)
+        lo, hi = max(src_lo - kf, 0), max(min(src_hi - kf, n), 0)
+        if lo < hi:
+            src = th[src_lo:src_hi] - alpha
             e, p = state.mass * np.cosh(src), state.mass * np.sinh(src)
-            t, x = _carrier(a[lo:hi], e, p)
-            env = np.zeros(hi - lo + 5, dtype=complex)
-            env[2:-3] = a[lo:hi] * np.exp(-1j * (e * t - p * x))
-            f, first = k - kf, i0 + kf - lo  # env index of site i0's first tap
+            t, x = _carrier(a[src_lo:src_hi], e, p)
+            env = np.zeros(src_hi - src_lo + 5, dtype=complex)
+            env[2:-3] = a[src_lo:src_hi] * _cis(p * x - e * t)
+            f, first = k - kf, lo + kf - src_lo  # env index of site lo's first tap
             weights = [math.prod((f - m) / (j - m) for m in _TAPS if m != j) for j in _TAPS]
-            out = sum(w * env[first + r : first + r + i1 - i0] for r, w in enumerate(weights))
-            e, p = state.mass * np.cosh(th[i0:i1]), state.mass * np.sinh(th[i0:i1])
-            new[i0:i1] = out * np.exp(1j * (e * t - p * x))
-    notes = state.notes
-    mag = np.abs(new)
-    sig = np.flatnonzero(mag > _SUPPORT_CUT * np.max(mag))
-    margin = 0.05 * (grid.theta_max - grid.theta_min)
-    if not sig.size:
-        if np.any(a):
+            out = sum(w * env[first + r : first + r + hi - lo] for r, w in enumerate(weights))
+            e, p = state.mass * np.cosh(th[lo:hi]), state.mass * np.sinh(th[lo:hi])
+            new[lo:hi] = out * _cis(e * t - p * x)
+            if not np.all(np.isfinite(new[lo:hi].view(float))):
+                raise ValueError("amplitudes must be finite")
+    mag = np.abs(new[lo:hi])
+    peak = float(np.max(mag, initial=0.0))
+    sig = _span(mag, _SUPPORT_CUT * peak, lo)
+    notes, margin = state.notes, 0.05 * (grid.theta_max - grid.theta_min)
+    if sig.start == sig.stop:
+        if win.start < win.stop:
             notes += ("boosted support lies entirely off the grid; all amplitude dropped",)
-    elif th[sig[0]] < th[0] + margin or th[sig[-1]] > th[-1] - margin:
+    elif th[sig.start] < th[0] + margin or th[sig.stop - 1] > th[-1] - margin:
         notes += ("boosted support within 5% of the grid boundary; amplitudes may be truncated",)
-    return replace(state, amplitudes=new, origin=0.0, origin_lo=0.0, notes=notes)
+    return _rebuilt(
+        state, amplitudes=new, notes=notes, origin=0.0, origin_lo=0.0,
+        window=_span(mag, _WINDOW_CUT * peak, lo),
+    )
 
 
 # ---------------------------------------------------------------------------

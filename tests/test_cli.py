@@ -696,6 +696,18 @@ def test_run_propagator_table_rejects_unusable_numbers(tmp_path, capsys, setting
         ),
         (
             "coordinate-transform",
+            "events=[[[0,0],[1,1]]]",
+            "events needs one row per velocity, got 1 for 2 velocities "
+            "(given events=(((0.0, 0.0), (1.0, 1.0)),))",
+        ),
+        (
+            "coordinate-transform",
+            "velocities=[0.6,-0.3,0.1]",
+            "events needs one row per velocity, got 2 for 3 velocities "
+            "(given velocities=(0.6, -0.3, 0.1))",
+        ),
+        (
+            "coordinate-transform",
             "target=A",
             "the frame change needs a lab other than 'A' (given target='A')",
         ),

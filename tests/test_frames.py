@@ -27,6 +27,7 @@ from lorentzqrf.states import (
     GaussianProfile,
     Gaussian2D,
     RapidityGrid,
+    RapidityState,
     Slice,
     TiltedSlice,
     boost_state,
@@ -198,6 +199,59 @@ def test_branch_overlap_matrix_matches_pairwise_kg_inner(grid):
     scale = np.max(np.abs(g))
     assert np.max(np.abs(g - want)) <= 1e-14 * scale
     assert np.max(np.abs(g - g.conj().T)) <= 1e-14 * scale
+
+
+def test_branch_overlap_matrix_stays_within_its_window_bound(grid):
+    """Over the span of the column's windows, G drops at most
+    1e-16 (max|a| sum w|b| + max|b| sum w|a|) of each full-grid factor
+    <a|b> (its docstring); one payload column, so G is that factor."""
+    rng = np.random.default_rng(196)
+    # a narrow and a wide payload, so the span is the wide one's window, on
+    # and off the lattice; the jump resamples them onto one origin
+    narrow = normalize(from_spacetime_function(Slice(0.2, GaussianProfile(0.5, 5.0)), 1.0, grid))
+    payloads = [narrow, _packet(grid, sigma=0.05)] + [_random_packet(rng, grid) for _ in range(4)]
+    omegas = [0.0, 9 * grid.step, -0.3, 0.41, 37.4 * grid.step, -0.77]
+    state = change_frame(
+        BranchedFrameState(
+            frame="C",
+            frame_mass=1.0,
+            branch_system="A",
+            branches=tuple(SharpBranch(o, 1.0, 2.0) for o in omegas),
+            payload_labels=("B",),
+            payloads=tuple((p,) for p in payloads),
+        ),
+        "C",
+        "A",
+    )
+    col = [resample(row[0]) for row in state.payloads]
+    lo = min(p.window.start for p in col)
+    hi = max(p.window.stop for p in col)
+    assert 0 < lo and hi < grid.count  # the span leaves sites out
+    amps, w = np.array([p.amplitudes for p in col]), grid.weights
+    full = (np.conj(amps) * w) @ amps.T
+    mag = np.abs(amps)
+    peak, mass = mag.max(axis=1), mag @ w
+    bound = 1e-16 * (peak[:, None] * mass[None, :] + mass[:, None] * peak[None, :])
+    rounding = 1e-15 * np.sqrt(np.outer(mag**2 @ w, mag**2 @ w))
+    g = branch_overlap_matrix(state)
+    assert np.all(np.abs(g - full) <= bound + rounding)
+
+
+def test_branch_overlap_matrix_of_zero_payloads_is_zero(grid):
+    zero = RapidityState(grid, 1.0, np.zeros(grid.count))
+    for origins in ((0.0, 0.0), (0.0, 0.37 * grid.step)):
+        state = BranchedFrameState(
+            frame="C",
+            frame_mass=1.0,
+            branch_system="A",
+            branches=(SharpBranch(-0.4, 0.6, 2.0), SharpBranch(0.9, 0.8, 2.0)),
+            payload_labels=("B", "D"),
+            payloads=tuple(
+                (_packet(grid), boost_state(zero, -o)) for o in origins
+            ),
+        )
+        g = branch_overlap_matrix(state)
+        assert g.shape == (2, 2) and np.array_equal(g, np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -815,9 +815,20 @@ def test_interference_validation_errors():
             lambda: CoordinateScenario(amplitudes=((1.0, 0.0),)),
             "amplitudes need one (re, im) pair per velocity",
         ),
+        (
+            lambda: CoordinateScenario(events=(((0.0, 0.0), (1.0, 1.0)),)),
+            "events needs one row per velocity, got 1 for 2 velocities",
+        ),
+        (
+            lambda: CoordinateScenario(velocities=(0.6, -0.3, 0.1)),
+            "events needs one row per velocity, got 2 for 3 velocities",
+        ),
         (lambda: PropagatorTableScenario(step=0.0), "step must be positive and finite, got 0.0"),
     ],
-    ids=["boosts-sigma", "coordinate-amplitudes", "propagator-step"],
+    ids=[
+        "boosts-sigma", "coordinate-amplitudes", "coordinate-events", "coordinate-velocities",
+        "propagator-step",
+    ],
 )
 def test_scenarios_reject_bad_values_naming_the_field(make, message):
     with pytest.raises(ValueError) as info:

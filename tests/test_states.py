@@ -739,7 +739,8 @@ def test_translate_evolve_identity(grid):
     s = _random_packet(np.random.default_rng(5), grid)
     st = translate(s, 0.41, 0.0)
     evolved = s.amplitudes * np.exp(-1j * s.energies * -0.41)
-    assert np.max(np.abs(st.amplitudes - evolved)) == 0.0
+    # translate's phase factors are `_cis`, each within 4.2e-16 of exp(i phi)
+    assert np.max(np.abs(st.amplitudes - evolved)) <= 1e-15 * np.max(np.abs(s.amplitudes))
 
 
 def test_translation_moves_wavefunction(grid):
@@ -935,6 +936,109 @@ def test_resample_notes_a_branch_boosted_off_the_grid(grid, steps):
     # a zero state loses nothing, so it gets no note
     zero = RapidityState(grid, 1.0, np.zeros(grid.count), origin=alpha)
     assert resample(zero).notes == ()
+
+
+def _full_grid_notes(source, amplitudes):
+    """Reference: resample's support note read from |a| over the whole grid."""
+    grid, th = source.grid, source.grid.thetas
+    mag = np.abs(amplitudes)
+    sig = np.flatnonzero(mag > 1e-10 * np.max(mag))
+    margin = 0.05 * (grid.theta_max - grid.theta_min)
+    if not sig.size:
+        if np.any(source.amplitudes):
+            return source.notes + (
+                "boosted support lies entirely off the grid; all amplitude dropped",
+            )
+    elif th[sig[0]] < th[0] + margin or th[sig[-1]] > th[-1] - margin:
+        return source.notes + (
+            "boosted support within 5% of the grid boundary; amplitudes may be truncated",
+        )
+    return source.notes
+
+
+def _handed_down_cases(grid):
+    """(state, rapidity) pairs covering resample's ways of reading |a|."""
+    wide = from_spacetime_function(Slice(0.0, GaussianProfile(0.0, 1.0)), 1.0, grid)
+    win = wide.window
+    quarter = (win.stop - win.start) // 4
+    cases = {
+        "lattice-inside": (wide, 37 * grid.step),
+        # the moved window runs past the low or the high end of the grid, its
+        # peak with it, so the tail beyond it is no longer under the cut
+        "lattice-clipped-low": (wide, (win.start + 3 * quarter) * grid.step),
+        "lattice-clipped-high": (wide, (win.stop - grid.count - 3 * quarter) * grid.step),
+        "lattice-off-grid": (wide, 6200 * grid.step),
+        "spline-off-grid": (wide, 3000.37 * grid.step),
+    }
+    for t0 in (0.0, 20.0, 50.0):
+        f = _random_source(np.random.default_rng(14), t0=t0)
+        cases[f"spline-t0={t0:g}"] = (from_spacetime_function(f, 1.0, grid), 0.3 + 0.37 * grid.step)
+    zero = RapidityState(grid, 1.0, np.zeros(grid.count))
+    cases["zero-lattice"], cases["zero-spline"] = (zero, 5 * grid.step), (zero, 0.37 * grid.step)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_handed_down_cases(RapidityGrid.default())))
+def test_resample_hands_down_the_full_grid_window(grid, case):
+    """resample reads |a| only where the support can be, yet the `window` it
+    caches on its result and its notes are those of the whole grid."""
+    state, alpha = _handed_down_cases(grid)[case]
+    moved = resample(boost_state(state, alpha))
+    assert "window" in vars(moved)
+    assert moved.window == RapidityState.window.func(moved)
+    assert moved.notes == _full_grid_notes(state, moved.amplitudes)
+    assert not moved.amplitudes.flags.writeable and "spectrum" not in vars(moved)
+    assert (moved.origin, moved.origin_lo) == (0.0, 0.0)
+    if case.startswith("lattice"):
+        steps = round(alpha / grid.step)
+        assert np.array_equal(moved.amplitudes.view(float), _lattice_shift(state, steps).view(float))
+    if case.startswith("lattice-clipped"):
+        assert 0 < moved.window.stop - moved.window.start < state.window.stop - state.window.start
+
+
+def _resample_with_np_exp(state):
+    """Reference: resample's off-lattice filter with its carrier phase
+    factors taken by np.exp."""
+    grid, a, alpha = state.grid, state.amplitudes, -state.origin
+    th, n, win = grid.thetas, grid.count, state.window
+    k = alpha / grid.step
+    kf = math.floor(k)
+    lo, hi = max(win.start - 3, 0), min(win.stop + 3, n)
+    i0, i1 = max(lo - kf, 0), min(hi - kf, n)
+    new = np.zeros_like(a)
+    src = th[lo:hi] - alpha
+    e, p = state.mass * np.cosh(src), state.mass * np.sinh(src)
+    t, x = states._carrier(a[lo:hi], e, p)
+    env = np.zeros(hi - lo + 5, dtype=complex)
+    env[2:-3] = a[lo:hi] * np.exp(-1j * (e * t - p * x))
+    f, first = k - kf, i0 + kf - lo
+    taps = range(-2, 4)
+    weights = [math.prod((f - m) / (j - m) for m in taps if m != j) for j in taps]
+    out = sum(w * env[first + r : first + r + i1 - i0] for r, w in enumerate(weights))
+    e, p = state.mass * np.cosh(th[i0:i1]), state.mass * np.sinh(th[i0:i1])
+    new[i0:i1] = out * np.exp(1j * (e * t - p * x))
+    return new
+
+
+@pytest.mark.parametrize("t0", [0.0, 20.0, 50.0])
+def test_resample_carrier_factors_match_np_exp(grid, t0):
+    """The off-lattice amplitudes stay within 1e-15 max|a| of the same filter
+    with its carrier phase factors taken by np.exp."""
+    f = _random_source(np.random.default_rng(15), t0=t0, x0=0.5 * t0)
+    s = normalize(from_spacetime_function(f, 1.0, grid))
+    for alpha in (0.37 * grid.step, -0.8 + 0.61 * grid.step):
+        moved = boost_state(s, alpha)
+        got, want = resample(moved).amplitudes, _resample_with_np_exp(moved)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(s.amplitudes))
+
+
+def test_resample_rejects_a_filter_output_that_overflows(grid):
+    a = np.zeros(grid.count, dtype=complex)
+    a[1000:1100] = 1.7e308  # finite, but the filter's partial sums are not
+    state = RapidityState(grid, 1.0, a, origin=0.5 * grid.step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            resample(state)
 
 
 def test_boosted_slice_is_tilted_slice(grid):
