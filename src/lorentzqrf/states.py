@@ -755,7 +755,8 @@ def _rebuilt(state: RapidityState, **changes) -> RapidityState:
 
 def translate(state: RapidityState, dt: float, dx: float) -> RapidityState:
     """Rigid support shift by (dt, dx): amplitudes pick up exp(i E dt - i p dx)."""
-    return state.with_amplitudes(state.amplitudes * _cis(state.energies * dt - state.momenta * dx))
+    phase = np.exp(1j * (state.energies * dt - state.momenta * dx))
+    return state.with_amplitudes(state.amplitudes * phase)
 
 
 def boost_state(state: RapidityState, alpha: float) -> RapidityState:
@@ -823,9 +824,10 @@ def resample(state: RapidityState) -> RapidityState:
     are dropped, with a note when the support ends within 5% of its boundary
     or lies wholly beyond it.
 
-    Past a lattice shift's copy the work is O(window): |a| is read only where
-    support can be, its one peak gives the note and the result's cached
-    `window`, and only filtered sites, which can overflow, are checked finite.
+    |a| is read only over the written range (the shifted copy, or the
+    filtered sites: O(window) off the lattice); its one peak gives the note
+    and the result's cached `window`, and only filtered sites, which can
+    overflow, are checked finite.
     """
     if state.origin == 0.0:
         return state
@@ -837,8 +839,6 @@ def resample(state: RapidityState) -> RapidityState:
     if abs(k - kr) <= _LATTICE_SNAP:
         lo, hi = min(max(-kr, 0), n), max(n - max(kr, 0), 0)
         new[lo:hi] = a[lo + kr : hi + kr]  # sub-cut tails too, keeping their bits
-        if lo <= win.start - kr and win.stop - kr <= hi:
-            lo, hi = win.start - kr, win.stop - kr
     else:
         kf = math.floor(k)
         src_lo, src_hi = max(win.start - 3, 0), min(win.stop + 3, n)
